@@ -16,11 +16,11 @@
 ///  * private data — users' cloaked rectangular regions received from
 ///    the location anonymizer; the server never sees exact positions.
 ///
-/// Both stores are backed by spatial::EpochIndex: mutations go to the
-/// authoritative Guttman R-tree and publish a new epoch; every read
-/// acquires the current immutable snapshot (packed FlatRTree base plus
-/// a small delta) with one atomic load, so the query hot path walks
-/// cache-friendly flat arrays and never takes a lock.
+/// Both stores are backed by spatial::EpochIndex: mutations go to a
+/// small delta/tombstone overlay on a packed FlatRTree base and publish
+/// a new epoch; every read acquires the current immutable snapshot with
+/// one atomic load, so the query hot path walks cache-friendly flat
+/// arrays and never takes a lock.
 
 namespace casper::processor {
 
@@ -54,9 +54,13 @@ class PublicTargetStore {
   /// Bulk-build from a target list (STR packing).
   explicit PublicTargetStore(const std::vector<PublicTarget>& targets);
 
-  /// Incremental insert. Fails on duplicate id only in debug checks;
-  /// ids are caller-managed.
+  /// Incremental insert. The store is a multiset of (id, position)
+  /// pairs: nothing checks ids, so inserting a pair twice stores it
+  /// twice. Ids are caller-managed.
   void Insert(const PublicTarget& target);
+
+  /// Remove one stored copy of exactly this (id, position) pair; false
+  /// when there is none.
   bool Remove(const PublicTarget& target);
 
   /// Nearest target to `q`; NotFound on empty store.

@@ -1,6 +1,8 @@
 #include "src/spatial/epoch_index.h"
 
 #include <algorithm>
+#include <bitset>
+#include <tuple>
 #include <utility>
 
 #include "src/common/codec.h"
@@ -10,8 +12,57 @@ namespace casper::spatial {
 
 namespace {
 
-bool SameEntry(const RTree::Entry& a, const Rect& box, uint64_t id) {
+bool SameEntry(const Entry& a, const Rect& box, uint64_t id) {
   return a.id == id && a.box == box;
+}
+
+/// A total order on (id, box) that groups equal entries together.
+bool EntryLess(const Entry& a, const Entry& b) {
+  return std::tie(a.id, a.box.min.x, a.box.min.y, a.box.max.x, a.box.max.y) <
+         std::tie(b.id, b.box.min.x, b.box.min.y, b.box.max.x, b.box.max.y);
+}
+
+/// The live entry set base - dead + delta: base entries in storage
+/// order, each tombstone cancelling one matching occurrence, then the
+/// delta. Tombstones cancel as a multiset in O(n log t) over a sorted
+/// copy. Fails when a tombstone matches no base entry.
+Result<std::vector<Entry>> LiveEntries(const FlatRTree* base,
+                                       std::vector<Entry> dead,
+                                       const std::vector<Entry>& delta) {
+  std::sort(dead.begin(), dead.end(), EntryLess);
+  // taken[r] counts the cancelled tombstones of the equal run starting
+  // at r; runs are consumed left to right.
+  std::vector<size_t> taken(dead.size(), 0);
+  // A filter on tombstone ids: a mispredicted binary search per base
+  // entry would cost more than packing the base does.
+  std::bitset<4096> maybe_dead;
+  for (const Entry& d : dead) maybe_dead.set(d.id % maybe_dead.size());
+  size_t cancelled = 0;
+  const size_t base_size = base ? base->size() : 0;
+  std::vector<Entry> live;
+  live.reserve(base_size + delta.size());
+  for (size_t i = 0; i < base_size; ++i) {
+    const Entry e = base->entry(i);
+    if (cancelled < dead.size() &&
+        maybe_dead.test(e.id % maybe_dead.size())) {
+      const size_t run = static_cast<size_t>(
+          std::lower_bound(dead.begin(), dead.end(), e, EntryLess) -
+          dead.begin());
+      const size_t slot = run + (run < dead.size() ? taken[run] : 0);
+      if (slot < dead.size() && SameEntry(dead[slot], e.box, e.id)) {
+        ++taken[run];
+        ++cancelled;
+        continue;
+      }
+    }
+    live.push_back(e);
+  }
+  if (cancelled != dead.size()) {
+    return Status::InvalidArgument(
+        "epoch-index checkpoint tombstone has no base entry");
+  }
+  live.insert(live.end(), delta.begin(), delta.end());
+  return live;
 }
 
 // "EPX1": rejects a page that is not an epoch-index checkpoint root.
@@ -19,20 +70,20 @@ constexpr uint32_t kCheckpointMagic = 0x31585045u;
 
 constexpr size_t kEntryBytes = 4 * 8 + 8;  // Rect + id.
 
-void PutEntries(wire::Writer& w, const std::vector<RTree::Entry>& entries) {
+void PutEntries(wire::Writer& w, const std::vector<Entry>& entries) {
   w.Count(entries.size());
-  for (const RTree::Entry& e : entries) {
+  for (const Entry& e : entries) {
     w.R(e.box);
     w.U64(e.id);
   }
 }
 
-std::vector<RTree::Entry> GetEntries(wire::Reader& r) {
+std::vector<Entry> GetEntries(wire::Reader& r) {
   const size_t n = r.Count(kEntryBytes);
-  std::vector<RTree::Entry> entries;
+  std::vector<Entry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    RTree::Entry e;
+    Entry e;
     e.box = r.R();
     e.id = r.U64();
     entries.push_back(e);
@@ -96,7 +147,7 @@ size_t EpochIndex::Snapshot::RangeCount(const Rect& window) const {
   return count;
 }
 
-std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
+std::vector<Neighbor> EpochIndex::Snapshot::KNearest(
     const Point& q, size_t k, Metric metric) const {
   std::vector<Neighbor> merged;
   if (k == 0 || size_ == 0) return merged;
@@ -131,8 +182,7 @@ std::vector<EpochIndex::Neighbor> EpochIndex::Snapshot::KNearest(
   return merged;
 }
 
-EpochIndex::NNResult EpochIndex::Snapshot::Nearest(const Point& q,
-                                                   Metric metric) const {
+NNResult EpochIndex::Snapshot::Nearest(const Point& q, Metric metric) const {
   NNResult r;
   auto knn = KNearest(q, 1, metric);
   if (!knn.empty()) {
@@ -152,8 +202,7 @@ Rect EpochIndex::Snapshot::bounds() const {
 // --- EpochIndex -------------------------------------------------------
 
 EpochIndex::EpochIndex(int max_entries, size_t rebuild_threshold)
-    : tree_(max_entries),
-      max_entries_(max_entries),
+    : max_entries_(max_entries),
       rebuild_threshold_(std::max<size_t>(rebuild_threshold, 1)),
       reclaimed_(std::make_shared<std::atomic<uint64_t>>(0)) {
   Publish();
@@ -162,21 +211,21 @@ EpochIndex::EpochIndex(int max_entries, size_t rebuild_threshold)
 EpochIndex EpochIndex::BulkLoad(std::vector<Entry> entries, int max_entries,
                                 size_t rebuild_threshold) {
   EpochIndex index(max_entries, rebuild_threshold);
+  index.size_ = entries.size();
   index.base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(entries, max_entries));
-  index.tree_ = RTree::BulkLoad(std::move(entries), max_entries);
+      FlatRTree::Build(std::move(entries), max_entries));
   ++index.rebuilds_;
   index.Publish();
   return index;
 }
 
 EpochIndex::EpochIndex(EpochIndex&& other) noexcept
-    : tree_(std::move(other.tree_)),
-      max_entries_(other.max_entries_),
+    : max_entries_(other.max_entries_),
       rebuild_threshold_(other.rebuild_threshold_),
       base_(std::move(other.base_)),
       delta_(std::move(other.delta_)),
       dead_(std::move(other.dead_)),
+      size_(other.size_),
       published_(other.published_.Load()),
       reclaimed_(std::move(other.reclaimed_)),
       published_count_(other.published_count_),
@@ -184,12 +233,12 @@ EpochIndex::EpochIndex(EpochIndex&& other) noexcept
 
 EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
   if (this != &other) {
-    tree_ = std::move(other.tree_);
     max_entries_ = other.max_entries_;
     rebuild_threshold_ = other.rebuild_threshold_;
     base_ = std::move(other.base_);
     delta_ = std::move(other.delta_);
     dead_ = std::move(other.dead_);
+    size_ = other.size_;
     published_.Store(other.published_.Load());
     reclaimed_ = std::move(other.reclaimed_);
     published_count_ = other.published_count_;
@@ -199,14 +248,13 @@ EpochIndex& EpochIndex::operator=(EpochIndex&& other) noexcept {
 }
 
 void EpochIndex::Insert(const Rect& box, uint64_t id) {
-  tree_.Insert(box, id);
   delta_.push_back(Entry{box, id});
+  ++size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
   Publish();
 }
 
 bool EpochIndex::Remove(const Rect& box, uint64_t id) {
-  if (!tree_.Remove(box, id)) return false;
   // Prefer cancelling a pending delta insert; only entries already in
   // the packed base need a tombstone.
   auto it = std::find_if(delta_.rbegin(), delta_.rend(), [&](const Entry& e) {
@@ -215,16 +263,30 @@ bool EpochIndex::Remove(const Rect& box, uint64_t id) {
   if (it != delta_.rend()) {
     delta_.erase(std::next(it).base());
   } else {
+    size_t copies = 0;
+    if (base_) {
+      base_->RangeQuery(box, [&](const Entry& e) {
+        if (SameEntry(e, box, id)) ++copies;
+        return true;
+      });
+    }
+    const size_t dead = static_cast<size_t>(std::count_if(
+        dead_.begin(), dead_.end(),
+        [&](const Entry& e) { return SameEntry(e, box, id); }));
+    if (copies <= dead) return false;
     dead_.push_back(Entry{box, id});
   }
+  --size_;
   if (delta_.size() + dead_.size() >= rebuild_threshold_) RebuildBase();
   Publish();
   return true;
 }
 
 void EpochIndex::RebuildBase() {
+  // Remove() tombstones only base entries, so this cannot fail.
+  std::vector<Entry> live = LiveEntries(base_.get(), dead_, delta_).value();
   base_ = std::make_shared<const FlatRTree>(
-      FlatRTree::Build(tree_.AllEntries(), max_entries_));
+      FlatRTree::Build(std::move(live), max_entries_));
   delta_.clear();
   dead_.clear();
   ++rebuilds_;
@@ -235,7 +297,7 @@ void EpochIndex::Publish() {
   snapshot->base_ = base_;
   snapshot->delta_ = delta_;
   snapshot->dead_ = dead_;
-  snapshot->size_ = tree_.size();
+  snapshot->size_ = size_;
   snapshot->epoch_ = ++published_count_;
   snapshot->reclaimed_ = reclaimed_;
   published_.Store(std::shared_ptr<const Snapshot>(std::move(snapshot)));
@@ -284,31 +346,15 @@ Result<EpochIndex> EpochIndex::Restore(storage::IStorageManager* sm,
   EpochIndex index(max_entries,
                    static_cast<size_t>(std::max<uint64_t>(
                        rebuild_threshold, 1)));
-  std::vector<Entry> merged;
   if (base_root != storage::kNoPage) {
     CASPER_ASSIGN_OR_RETURN(base, FlatRTree::LoadFrom(sm, base_root));
-    merged.reserve(base.size() + delta.size());
-    for (size_t i = 0; i < base.size(); ++i) merged.push_back(base.entry(i));
     index.base_ = std::make_shared<const FlatRTree>(std::move(base));
+    ++index.rebuilds_;
   }
-  // The authoritative tree holds base - tombstones + delta; tombstones
-  // are a multiset, so each one cancels exactly one occurrence.
-  for (const Entry& d : dead) {
-    const auto it = std::find_if(merged.begin(), merged.end(),
-                                 [&](const Entry& e) {
-                                   return SameEntry(e, d.box, d.id);
-                                 });
-    if (it == merged.end()) {
-      return Status::InvalidArgument(
-          "epoch-index checkpoint tombstone has no base entry");
-    }
-    merged.erase(it);
-  }
-  merged.insert(merged.end(), delta.begin(), delta.end());
-  index.tree_ = RTree::BulkLoad(std::move(merged), max_entries);
+  CASPER_ASSIGN_OR_RETURN(live, LiveEntries(index.base_.get(), dead, delta));
+  index.size_ = live.size();
   index.delta_ = std::move(delta);
   index.dead_ = std::move(dead);
-  if (index.base_) ++index.rebuilds_;
   index.Publish();
   return index;
 }

@@ -10,13 +10,14 @@
 #include "src/common/geometry.h"
 #include "src/common/result.h"
 #include "src/spatial/flat_rtree.h"
-#include "src/spatial/rtree.h"
 #include "src/storage/storage_manager.h"
 
 /// \file
-/// Epoch-published read snapshots over a mutable R-tree. The writer
-/// keeps the authoritative Guttman RTree for upserts; every mutation
-/// publishes a new immutable Snapshot into an atomically swapped
+/// Epoch-published read snapshots over a mutable spatial index. The
+/// live entry set is a packed FlatRTree base minus a multiset of
+/// tombstones plus a small delta of entries inserted since the base was
+/// packed; nothing else is stored. Every mutation publishes a new
+/// immutable Snapshot of those three parts into an atomically swapped
 /// shared_ptr slot, and readers grab the current snapshot with one
 /// pointer copy (a few-instruction spin slot — see PublishedSlot).
 /// Readers never block on a query in flight, and a reader holds its
@@ -24,11 +25,11 @@
 /// (RCU-style reclamation via shared_ptr: the last holder frees the
 /// epoch, counted in Stats::reclaimed).
 ///
-/// A snapshot is a packed FlatRTree base (cache-friendly, built with
-/// STR) plus a small delta: entries inserted since the base was packed
-/// and tombstones for base entries removed since. When the delta grows
-/// past `rebuild_threshold`, the writer repacks a fresh base from the
-/// authoritative tree and the delta resets to empty.
+/// When the delta plus tombstones reach `rebuild_threshold`, the writer
+/// repacks a fresh base from the live set — base entries in storage
+/// order, then the delta — and the overlay resets to empty. The repack
+/// reads only the base and the overlay, so an index restored from a
+/// Checkpoint repacks exactly like the index it was taken from.
 ///
 /// Threading contract: mutations are single-writer (same as the target
 /// stores); Acquire() and all Snapshot queries are safe from any number
@@ -38,11 +39,6 @@ namespace casper::spatial {
 
 class EpochIndex {
  public:
-  using Entry = RTree::Entry;
-  using Metric = RTree::Metric;
-  using Neighbor = RTree::Neighbor;
-  using NNResult = RTree::NNResult;
-
   /// Writer-side counters, exported through obs by the owning tier.
   struct Stats {
     uint64_t published = 0;  ///< Snapshots published so far.
@@ -52,8 +48,8 @@ class EpochIndex {
     size_t tombstones = 0;
   };
 
-  /// One immutable epoch. Queries return exactly what the authoritative
-  /// tree would have returned at publication time.
+  /// One immutable epoch. Queries answer over the live entry set as it
+  /// stood at publication time.
   class Snapshot {
    public:
     ~Snapshot();
@@ -87,8 +83,7 @@ class EpochIndex {
 
   explicit EpochIndex(int max_entries = 16, size_t rebuild_threshold = 128);
 
-  /// Build a packed index from `entries` (STR bulk load on both the
-  /// authoritative tree and the flat base).
+  /// Build an index whose packed base holds `entries` (STR bulk load).
   static EpochIndex BulkLoad(std::vector<Entry> entries, int max_entries = 16,
                              size_t rebuild_threshold = 128);
 
@@ -97,17 +92,21 @@ class EpochIndex {
   EpochIndex(const EpochIndex&) = delete;
   EpochIndex& operator=(const EpochIndex&) = delete;
 
+  /// Add one (box, id) entry. Entries form a multiset: inserting the
+  /// same pair twice stores it twice.
   void Insert(const Rect& box, uint64_t id);
+
+  /// Remove one occurrence of (box, id). A pending delta insert is
+  /// cancelled first; otherwise a base copy not yet tombstoned gets a
+  /// tombstone. Returns false, changing nothing, when no live occurrence
+  /// exists.
   bool Remove(const Rect& box, uint64_t id);
 
   /// The current epoch; one atomic acquire-load, never null.
   std::shared_ptr<const Snapshot> Acquire() const;
 
-  size_t size() const { return tree_.size(); }
-  bool empty() const { return tree_.empty(); }
-
-  /// The authoritative mutable tree (tests, invariant checks).
-  const RTree& tree() const { return tree_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   Stats stats() const;
 
@@ -120,8 +119,9 @@ class EpochIndex {
 
   /// Rebuild an index from a Checkpoint root page. The restored index
   /// publishes a snapshot with the same base/delta/tombstone overlay
-  /// the checkpointed one had, so queries answer identically; the
-  /// authoritative tree is re-bulk-loaded from the merged entry set.
+  /// the checkpointed one had, so queries and later repacks answer
+  /// identically. A tombstone with no base entry to cancel fails
+  /// kInvalidArgument.
   static Result<EpochIndex> Restore(storage::IStorageManager* sm,
                                     storage::PageId root);
 
@@ -168,13 +168,13 @@ class EpochIndex {
   void RebuildBase();
   void Publish();
 
-  RTree tree_;
   int max_entries_;
   size_t rebuild_threshold_;
 
   std::shared_ptr<const FlatRTree> base_;
   std::vector<Entry> delta_;
   std::vector<Entry> dead_;
+  size_t size_ = 0;  ///< Live entries: base - dead + delta.
 
   PublishedSlot published_;
   std::shared_ptr<std::atomic<uint64_t>> reclaimed_;

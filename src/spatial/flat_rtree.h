@@ -7,40 +7,62 @@
 
 #include "src/common/geometry.h"
 #include "src/common/result.h"
-#include "src/spatial/rtree.h"
 #include "src/storage/storage_manager.h"
 
 /// \file
-/// An immutable, cache-friendly companion of the Guttman RTree: the same
-/// STR packing, but laid out as contiguous arrays instead of
-/// pointer-linked nodes. Children of a node occupy a contiguous run of
-/// the node array addressed by an int32 offset, and every MBR lives in
-/// struct-of-arrays coordinate blocks so search scores a whole node's
-/// children with the batched MinDist/MaxDist kernels in one linear pass.
+/// The server's one spatial index (§5.1.1: the privacy-aware processor
+/// "can be employed using R-tree or any other methods"): an immutable
+/// R-tree packed with Sort-Tile-Recursive and laid out as contiguous
+/// arrays instead of pointer-linked nodes. Children of a node occupy a
+/// contiguous run of the node array addressed by an int32 offset, and
+/// every MBR lives in struct-of-arrays coordinate blocks so search
+/// scores a whole node's children with the batched MinDist/MaxDist
+/// kernels in one linear pass. Point data is stored as degenerate
+/// rectangles.
 ///
-/// Queries return exactly the results the Guttman tree returns over the
-/// same entry set (the differential test in tests/flat_rtree_test.cc
-/// enforces this): the tree shape differs, the answer set does not.
-///
-/// The intended use is a read-mostly index: mutate the authoritative
-/// RTree, and rebuild a FlatRTree from RTree::AllEntries() when enough
-/// deltas accumulate (see spatial::EpochIndex).
+/// The tree is read-mostly: spatial::EpochIndex serves upserts from a
+/// small delta/tombstone overlay on top of a packed base and repacks the
+/// base from its live entry set when the overlay grows.
 
 namespace casper::spatial {
 
+/// One stored object.
+struct Entry {
+  Rect box;
+  uint64_t id = 0;
+};
+
+/// Distance used to rank *entries* in NN search. Interior nodes are
+/// always ranked by MinDist to their MBR, which lower-bounds both
+/// metrics and keeps the search correct.
+///  * kMinDist: distance to the closest point of the entry rectangle
+///    (ordinary NN; exact for point entries);
+///  * kMaxDist: distance to the farthest corner of the entry rectangle
+///    (the metric the private-data filter step needs, §5.2.1).
+enum class Metric { kMinDist, kMaxDist };
+
+/// Result of a (k-)NN probe.
+struct Neighbor {
+  Rect box;
+  uint64_t id = 0;
+  double distance = 0.0;
+};
+
+/// Single-NN result. `found` is false only on an empty index.
+struct NNResult {
+  bool found = false;
+  Neighbor neighbor;
+};
+
 class FlatRTree {
  public:
-  using Entry = RTree::Entry;
-  using Metric = RTree::Metric;
-  using Neighbor = RTree::Neighbor;
-  using NNResult = RTree::NNResult;
-
   /// Empty tree; all queries return nothing.
   FlatRTree() = default;
 
-  /// Build a packed tree from `entries` with Sort-Tile-Recursive, the
-  /// same packing policy as RTree::BulkLoad. `max_entries` is the
-  /// fan-out M (clamped to >= 4 like RTree).
+  /// Build a packed tree from `entries` with Sort-Tile-Recursive.
+  /// `max_entries` is the fan-out M (clamped to >= 4). Entries whose
+  /// centres tie keep their input order, so the same input always packs
+  /// the same way.
   static FlatRTree Build(std::vector<Entry> entries, int max_entries = 16);
 
   /// Append every entry whose rectangle intersects `window` to `*out`.
@@ -53,6 +75,8 @@ class FlatRTree {
   /// Number of entries intersecting `window`.
   size_t RangeCount(const Rect& window) const;
 
+  /// The k nearest entries to `q` under `metric`, ascending by
+  /// distance; equal distances come in ascending id order.
   std::vector<Neighbor> KNearest(const Point& q, size_t k,
                                  Metric metric = Metric::kMinDist) const;
 
@@ -72,7 +96,7 @@ class FlatRTree {
   /// Bounding box of the whole tree (empty rect when empty).
   Rect bounds() const;
 
-  /// Entry i in storage order (for enumeration in tests).
+  /// Entry i in storage order (EpochIndex repacks its live set from it).
   Entry entry(size_t i) const;
 
   /// Structural invariant check for tests: MBRs tight and covering,

@@ -13,20 +13,24 @@
 namespace casper::anonymizer {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes wide.
 struct Scenario {
-  int height;
+  int64_t height;
   size_t users;
-  uint32_t k_max;
+  uint64_t k_max;
   double a_min_max_fraction;
   uint64_t seed;
 };
+static_assert(sizeof(Scenario) == 5 * 8, "Scenario must have no padding");
 
 class EquivalenceTest : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EquivalenceTest, IdenticalCloaksThroughoutHistory) {
   const Scenario s = GetParam();
   PyramidConfig config;
-  config.height = s.height;
+  config.height = static_cast<int>(s.height);
   BasicAnonymizer basic(config);
   AdaptiveAnonymizer adaptive(config);
   Rng rng(s.seed);

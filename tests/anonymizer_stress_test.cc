@@ -12,14 +12,19 @@
 namespace casper::anonymizer {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes wide.
 struct StressParams {
-  int height;
+  int64_t height;
   size_t peak_users;
-  uint32_t k_max;
+  uint64_t k_max;
   double a_min_max_fraction;
-  int operations;
+  int64_t operations;
   uint64_t seed;
 };
+static_assert(sizeof(StressParams) == 6 * 8,
+              "StressParams must have no padding");
 
 class AnonymizerStressTest : public ::testing::TestWithParam<StressParams> {
 };
@@ -27,7 +32,7 @@ class AnonymizerStressTest : public ::testing::TestWithParam<StressParams> {
 template <typename Anon>
 void RunStress(const StressParams& params) {
   PyramidConfig config;
-  config.height = params.height;
+  config.height = static_cast<int>(params.height);
   Anon anon(config);
   Rng rng(params.seed);
 
@@ -96,7 +101,7 @@ TEST_P(AnonymizerStressTest, AdaptiveSurvivesChurnWithInvariants) {
   const StressParams params = GetParam();
   // Same churn, plus periodic full structural validation.
   PyramidConfig config;
-  config.height = params.height;
+  config.height = static_cast<int>(params.height);
   AdaptiveAnonymizer anon(config);
   Rng rng(params.seed ^ 0xabcdef);
 

@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 
 #include "src/common/rng.h"
-#include "src/spatial/grid_index.h"
-#include "src/spatial/rtree.h"
+#include "src/spatial/epoch_index.h"
 
-/// Differential testing of the two spatial indexes: driven through the
-/// same randomized point workload, the R-tree and the grid index must
-/// agree on every range query and (by distance) every NN probe. Each is
-/// the other's oracle — a disagreement pinpoints a bug in one of them.
+/// Differential testing of the spatial index under churn: a randomized
+/// point workload of inserts, removes and moves drives an EpochIndex
+/// with a low rebuild threshold, so the churn crosses many repacks of
+/// its packed base, and every range, NN and k-NN probe must match a
+/// brute-force scan of the live points exactly.
 
 namespace casper::spatial {
 namespace {
@@ -17,8 +19,8 @@ namespace {
 struct WorkloadParams {
   size_t initial;
   int rounds;
-  int grid_cells;
-  int rtree_fanout;
+  int rebuild_threshold;
+  int fanout;
   uint64_t seed;
 };
 
@@ -30,16 +32,15 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
   Rng rng(params.seed);
   const Rect space(0, 0, 1, 1);
 
-  RTree tree(params.rtree_fanout);
-  GridIndex grid(space, params.grid_cells);
+  EpochIndex index(params.fanout,
+                   static_cast<size_t>(params.rebuild_threshold));
   std::unordered_map<uint64_t, Point> live;
   uint64_t next_id = 0;
 
   auto insert = [&]() {
     const Point p = rng.PointIn(space);
     const uint64_t id = next_id++;
-    tree.Insert(Rect::FromPoint(p), id);
-    ASSERT_TRUE(grid.Insert(p, id).ok());
+    index.Insert(Rect::FromPoint(p), id);
     live[id] = p;
   };
   for (size_t i = 0; i < params.initial; ++i) insert();
@@ -52,47 +53,59 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
       // Remove a random live id.
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.UniformInt(0, live.size() - 1)));
-      ASSERT_TRUE(tree.Remove(Rect::FromPoint(it->second), it->first));
-      ASSERT_TRUE(grid.Remove(it->first).ok());
+      ASSERT_TRUE(index.Remove(Rect::FromPoint(it->second), it->first));
       live.erase(it);
     } else if (action < 0.8) {
       // Move a random live id.
       auto it = live.begin();
       std::advance(it, static_cast<long>(rng.UniformInt(0, live.size() - 1)));
       const Point p = rng.PointIn(space);
-      ASSERT_TRUE(tree.Remove(Rect::FromPoint(it->second), it->first));
-      tree.Insert(Rect::FromPoint(p), it->first);
-      ASSERT_TRUE(grid.Update(p, it->first).ok());
+      ASSERT_TRUE(index.Remove(Rect::FromPoint(it->second), it->first));
+      index.Insert(Rect::FromPoint(p), it->first);
       it->second = p;
     } else {
-      // Cross-check queries.
+      // Cross-check queries against a brute-force scan.
+      const auto snap = index.Acquire();
       const Point c = rng.PointIn(space);
       const Rect window(c.x, c.y, std::min(c.x + rng.Uniform(0, 0.3), 1.0),
                         std::min(c.y + rng.Uniform(0, 0.3), 1.0));
-      std::vector<uint64_t> from_tree;
-      tree.RangeQuery(window, [&](const RTree::Entry& e) {
-        from_tree.push_back(e.id);
+      std::vector<uint64_t> from_index;
+      snap->RangeQuery(window, [&](const Entry& e) {
+        from_index.push_back(e.id);
         return true;
       });
-      std::vector<uint64_t> from_grid;
-      grid.RangeQuery(window, &from_grid);
-      std::sort(from_tree.begin(), from_tree.end());
-      std::sort(from_grid.begin(), from_grid.end());
-      ASSERT_EQ(from_tree, from_grid) << "round " << round;
+      std::vector<uint64_t> expected;
+      for (const auto& [id, p] : live) {
+        if (window.Contains(p)) expected.push_back(id);
+      }
+      std::sort(from_index.begin(), from_index.end());
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(from_index, expected) << "round " << round;
+      ASSERT_EQ(snap->RangeCount(window), expected.size()) << "round " << round;
 
       const Point q = rng.PointIn(space);
-      const auto tree_nn = tree.Nearest(q);
-      const auto grid_nn = grid.Nearest(q);
-      ASSERT_EQ(tree_nn.found, grid_nn.found);
-      if (tree_nn.found) {
-        ASSERT_NEAR(tree_nn.neighbor.distance, grid_nn.distance, 1e-12)
+      std::vector<std::pair<double, uint64_t>> brute;
+      for (const auto& [id, p] : live) {
+        brute.emplace_back(MinDist(q, Rect::FromPoint(p)), id);
+      }
+      std::sort(brute.begin(), brute.end());
+      const auto nn = snap->Nearest(q);
+      ASSERT_EQ(nn.found, !brute.empty());
+      if (nn.found) {
+        ASSERT_EQ(nn.neighbor.id, brute.front().second) << "round " << round;
+        ASSERT_EQ(nn.neighbor.distance, brute.front().first)
             << "round " << round;
+      }
+      const auto knn = snap->KNearest(q, 5);
+      ASSERT_EQ(knn.size(), std::min<size_t>(5, brute.size()));
+      for (size_t i = 0; i < knn.size(); ++i) {
+        ASSERT_EQ(knn[i].id, brute[i].second) << "round " << round;
       }
     }
   }
-  EXPECT_EQ(tree.size(), live.size());
-  EXPECT_EQ(grid.size(), live.size());
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(index.size(), live.size());
+  EXPECT_EQ(index.Acquire()->RangeCount(space), live.size());
+  EXPECT_GT(index.stats().rebuilds, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

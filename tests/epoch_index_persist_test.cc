@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "src/common/codec.h"
 #include "src/spatial/epoch_index.h"
 #include "src/storage/memory_storage.h"
 
@@ -36,7 +38,7 @@ void ExpectIndexesAnswerIdentically(const EpochIndex& want_index,
     const Rect window(q.x, q.y, q.x + 80.0, q.y + 80.0);
 
     EXPECT_EQ(got->RangeCount(window), want->RangeCount(window));
-    std::vector<EpochIndex::Entry> want_hits, got_hits;
+    std::vector<Entry> want_hits, got_hits;
     want->RangeQuery(window, &want_hits);
     got->RangeQuery(window, &got_hits);
     ASSERT_EQ(got_hits.size(), want_hits.size());
@@ -67,7 +69,7 @@ EpochIndex BuildWorkloadIndex(size_t ops, size_t rebuild_threshold,
                               uint32_t seed) {
   EpochIndex index(8, rebuild_threshold);
   std::mt19937 rng(seed);
-  std::vector<EpochIndex::Entry> live;
+  std::vector<Entry> live;
   for (size_t op = 0; op < ops; ++op) {
     const bool remove = !live.empty() && rng() % 4 == 0;
     if (remove) {
@@ -75,7 +77,7 @@ EpochIndex BuildWorkloadIndex(size_t ops, size_t rebuild_threshold,
       EXPECT_TRUE(index.Remove(live[victim].box, live[victim].id));
       live.erase(live.begin() + victim);
     } else {
-      const EpochIndex::Entry e{BoxAt(rng), 5000 + op};
+      const Entry e{BoxAt(rng), 5000 + op};
       index.Insert(e.box, e.id);
       live.push_back(e);
     }
@@ -137,6 +139,81 @@ TEST(EpochIndexPersistSingleTest, RestoredIndexStaysWritable) {
     restored->Insert(box, id);
   }
   ExpectIndexesAnswerIdentically(index, *restored, 911);
+
+  // Many ids per box, as when users are cloaked to the same pyramid
+  // cell. Entries whose centres tie pack in input order, so a restored
+  // index must repack from the same order as its source does: a
+  // tombstoned base, then enough inserts to force several rebuilds.
+  std::vector<Rect> boxes;
+  for (int b = 0; b < 16; ++b) boxes.push_back(BoxAt(rng));
+  std::vector<Entry> tied;
+  for (uint64_t id = 0; id < 500; ++id) tied.push_back({boxes[id % 16], id});
+  EpochIndex source = EpochIndex::BulkLoad(tied, 8, 64);
+  for (uint64_t id = 0; id < 500; id += 11) {
+    ASSERT_TRUE(source.Remove(tied[id].box, id));
+  }
+  auto tied_root = source.Checkpoint(&sm);
+  ASSERT_TRUE(tied_root.ok());
+  auto copy = EpochIndex::Restore(&sm, *tied_root);
+  ASSERT_TRUE(copy.ok());
+  for (uint64_t i = 0; i < 200; ++i) {
+    source.Insert(boxes[i % 16], 1000 + i);
+    copy->Insert(boxes[i % 16], 1000 + i);
+  }
+  ASSERT_GT(source.stats().rebuilds, 2u);
+  for (const Rect& box : boxes) {
+    const Rect window = Rect::FromPoint(box.Center());
+    std::vector<Entry> want_hits, got_hits;
+    source.Acquire()->RangeQuery(window, &want_hits);
+    copy->Acquire()->RangeQuery(window, &got_hits);
+    ASSERT_EQ(got_hits.size(), want_hits.size());
+    for (size_t i = 0; i < want_hits.size(); ++i)
+      EXPECT_EQ(got_hits[i].id, want_hits[i].id) << "hit " << i;
+  }
+  ExpectIndexesAnswerIdentically(source, *copy, 913);
+}
+
+/// Tombstones cancel base entries as a multiset: a checkpoint page
+/// whose tombstones outnumber the matching base entries is rejected.
+TEST(EpochIndexPersistSingleTest, TombstoneWithoutBaseEntryFails) {
+  storage::MemoryStorageManager sm;
+  const Entry kept{Rect(1.0, 1.0, 2.0, 2.0), 7};
+  auto base_root = FlatRTree::Build({kept}).SaveTo(&sm);
+  ASSERT_TRUE(base_root.ok());
+
+  // Same "EPX1" layout as EpochIndex::Checkpoint writes.
+  auto craft = [&](storage::PageId base, const std::vector<Entry>& dead) {
+    wire::Writer w;
+    w.U32(0x31585045u);
+    w.I32(8);
+    w.U64(128);
+    w.U64(base);
+    w.Count(0);  // No delta.
+    w.Count(dead.size());
+    for (const Entry& e : dead) {
+      w.R(e.box);
+      w.U64(e.id);
+    }
+    auto page = sm.Store(storage::kNoPage, w.Take());
+    EXPECT_TRUE(page.ok());
+    return *page;
+  };
+
+  // The page layout is right: one matching tombstone restores.
+  auto ok = EpochIndex::Restore(&sm, craft(*base_root, {kept}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(ok->empty());
+
+  const Entry stranger{Rect(1.0, 1.0, 2.0, 2.0), 8};
+  for (const auto& [base, dead] :
+       std::vector<std::pair<storage::PageId, std::vector<Entry>>>{
+           {*base_root, {stranger}},
+           {*base_root, {kept, kept}},
+           {storage::kNoPage, {kept}}}) {
+    const auto restored = EpochIndex::Restore(&sm, craft(base, dead));
+    EXPECT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EpochIndexPersistSingleTest, GarbageRootFails) {

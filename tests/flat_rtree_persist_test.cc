@@ -21,11 +21,11 @@ namespace {
 
 using storage::PageId;
 
-std::vector<FlatRTree::Entry> RandomEntries(size_t n, uint32_t seed) {
+std::vector<Entry> RandomEntries(size_t n, uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> coord(0.0, 1000.0);
   std::uniform_real_distribution<double> extent(0.0, 8.0);
-  std::vector<FlatRTree::Entry> entries;
+  std::vector<Entry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const double x = coord(rng), y = coord(rng);
@@ -60,14 +60,14 @@ void ExpectTreesAnswerIdentically(const FlatRTree& original,
     const Rect window(q.x, q.y, q.x + 120.0, q.y + 120.0);
 
     EXPECT_EQ(loaded.RangeCount(window), original.RangeCount(window));
-    std::vector<FlatRTree::Entry> want, got;
+    std::vector<Entry> want, got;
     original.RangeQuery(window, &want);
     loaded.RangeQuery(window, &got);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i].id, want[i].id);
 
     for (const auto metric :
-         {FlatRTree::Metric::kMinDist, FlatRTree::Metric::kMaxDist}) {
+         {Metric::kMinDist, Metric::kMaxDist}) {
       const auto want_knn = original.KNearest(q, 7, metric);
       const auto got_knn = loaded.KNearest(q, 7, metric);
       ASSERT_EQ(got_knn.size(), want_knn.size());

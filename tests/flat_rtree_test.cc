@@ -3,19 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/spatial/rtree.h"
 
 namespace casper::spatial {
 namespace {
 
 const Rect kSpace(0.0, 0.0, 1.0, 1.0);
 
-std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
-                                            double max_extent) {
-  std::vector<RTree::Entry> entries;
+std::vector<Entry> RandomRectEntries(size_t n, Rng* rng,
+                                     double max_extent) {
+  std::vector<Entry> entries;
   for (size_t i = 0; i < n; ++i) {
     const Point c = rng->PointIn(kSpace);
     const double w = rng->Uniform(0.0, max_extent);
@@ -25,7 +26,7 @@ std::vector<RTree::Entry> RandomRectEntries(size_t n, Rng* rng,
   return entries;
 }
 
-std::vector<uint64_t> SortedIds(std::vector<RTree::Entry> entries) {
+std::vector<uint64_t> SortedIds(std::vector<Entry> entries) {
   std::vector<uint64_t> ids;
   ids.reserve(entries.size());
   for (const auto& e : entries) ids.push_back(e.id);
@@ -33,26 +34,40 @@ std::vector<uint64_t> SortedIds(std::vector<RTree::Entry> entries) {
   return ids;
 }
 
-/// Sorted distance multiset of a k-NN answer. Rect entries tie exactly
-/// (MinDist is 0 for every rectangle containing the query point), so
-/// two correct trees may return different ids at a tie — but the k
-/// smallest distances are uniquely determined.
-std::vector<double> Distances(const std::vector<RTree::Neighbor>& neighbors) {
-  std::vector<double> out;
-  out.reserve(neighbors.size());
-  for (const auto& n : neighbors) out.push_back(n.distance);
-  std::sort(out.begin(), out.end());
-  return out;
+// Brute-force oracles over an entry list.
+
+std::vector<uint64_t> BruteRange(const std::vector<Entry>& entries,
+                                 const Rect& window) {
+  std::vector<Entry> hits;
+  for (const auto& e : entries) {
+    if (e.box.Intersects(window)) hits.push_back(e);
+  }
+  return SortedIds(hits);
 }
 
-/// (distance, id) pairs in deterministic order — exact comparison for
-/// point entries, where distance ties have probability zero.
-std::vector<std::pair<double, uint64_t>> Canonical(
-    const std::vector<RTree::Neighbor>& neighbors) {
+/// The k smallest (distance, id) pairs in ascending order. The tree
+/// breaks distance ties by ascending id, so this is its exact answer
+/// even for rectangles, whose MinDist ties at 0 around the query point.
+std::vector<std::pair<double, uint64_t>> BruteKnn(
+    const std::vector<Entry>& entries, const Point& q, size_t k,
+    Metric metric) {
+  std::vector<std::pair<double, uint64_t>> all;
+  for (const auto& e : entries) {
+    all.emplace_back(
+        metric == Metric::kMinDist ? MinDist(q, e.box) : MaxDist(q, e.box),
+        e.id);
+  }
+  std::sort(all.begin(), all.end());
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// (distance, id) pairs in the order the tree returned them.
+std::vector<std::pair<double, uint64_t>> Pairs(
+    const std::vector<Neighbor>& neighbors) {
   std::vector<std::pair<double, uint64_t>> out;
   out.reserve(neighbors.size());
   for (const auto& n : neighbors) out.emplace_back(n.distance, n.id);
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -60,7 +75,7 @@ TEST(FlatRTreeTest, EmptyTree) {
   FlatRTree tree;
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
-  std::vector<RTree::Entry> hits;
+  std::vector<Entry> hits;
   tree.RangeQuery(kSpace, &hits);
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(tree.RangeCount(kSpace), 0u);
@@ -84,37 +99,41 @@ TEST(FlatRTreeTest, InvariantsAcrossSizesAndFanouts) {
   Rng rng(20260807);
   for (size_t n : {2u, 5u, 16u, 17u, 64u, 257u, 1000u}) {
     for (int fanout : {4, 8, 16}) {
-      FlatRTree tree =
-          FlatRTree::Build(RandomRectEntries(n, &rng, 0.05), fanout);
+      const std::vector<Entry> entries = RandomRectEntries(n, &rng, 0.05);
+      FlatRTree tree = FlatRTree::Build(entries, fanout);
       EXPECT_EQ(tree.size(), n);
       EXPECT_TRUE(tree.CheckInvariants()) << "n=" << n << " M=" << fanout;
+      for (const auto& e : entries) EXPECT_TRUE(tree.bounds().Contains(e.box));
+      // STR packing is near-full, so the height is logarithmic.
+      EXPECT_LE(tree.height(),
+                static_cast<int>(std::ceil(std::log(static_cast<double>(n)) /
+                                           std::log(fanout))) +
+                    1)
+          << "n=" << n << " M=" << fanout;
+      EXPECT_EQ(tree.KNearest(Point{0.5, 0.5}, n + 10).size(), n);
     }
   }
 }
 
-/// The tentpole contract: after randomized inserts (and some removes)
-/// into the mutable Guttman tree, a flat rebuild from AllEntries()
-/// answers every range and k-NN query — under both metrics — with the
-/// identical result set.
-TEST(FlatRTreeTest, DifferentialAgainstGuttmanAfterRandomizedMutations) {
+/// A tree packed from the survivors of randomized inserts and removes
+/// answers every range and k-NN query — under both metrics — exactly
+/// like a brute-force scan of those survivors.
+TEST(FlatRTreeTest, DifferentialAgainstBruteForceAfterRandomizedMutations) {
   Rng rng(42);
-  RTree mutable_tree(8);
-  std::vector<RTree::Entry> alive;
+  std::vector<Entry> alive;
   for (size_t i = 0; i < 600; ++i) {
-    RTree::Entry e = RandomRectEntries(1, &rng, 0.08)[0];
+    Entry e = RandomRectEntries(1, &rng, 0.08)[0];
     e.id = i;
-    mutable_tree.Insert(e.box, e.id);
     alive.push_back(e);
   }
-  // Remove a random third so the Guttman tree has seen condense-tree.
+  // Remove a random third.
   for (size_t i = 0; i < 200; ++i) {
     const size_t victim = static_cast<size_t>(
         rng.Uniform(0.0, static_cast<double>(alive.size())));
-    ASSERT_TRUE(mutable_tree.Remove(alive[victim].box, alive[victim].id));
     alive.erase(alive.begin() + static_cast<ptrdiff_t>(victim));
   }
 
-  FlatRTree flat = FlatRTree::Build(mutable_tree.AllEntries(), 8);
+  FlatRTree flat = FlatRTree::Build(alive, 8);
   ASSERT_EQ(flat.size(), alive.size());
   ASSERT_TRUE(flat.CheckInvariants());
 
@@ -123,24 +142,24 @@ TEST(FlatRTreeTest, DifferentialAgainstGuttmanAfterRandomizedMutations) {
     const Point b = rng.PointIn(kSpace);
     const Rect window(std::min(a.x, b.x), std::min(a.y, b.y),
                       std::max(a.x, b.x), std::max(a.y, b.y));
-    std::vector<RTree::Entry> guttman_hits;
-    mutable_tree.RangeQuery(window, &guttman_hits);
-    std::vector<RTree::Entry> flat_hits;
+    std::vector<Entry> flat_hits;
     flat.RangeQuery(window, &flat_hits);
-    EXPECT_EQ(SortedIds(guttman_hits), SortedIds(flat_hits));
-    EXPECT_EQ(mutable_tree.RangeCount(window), flat.RangeCount(window));
+    const std::vector<uint64_t> expected = BruteRange(alive, window);
+    EXPECT_EQ(expected, SortedIds(flat_hits));
+    EXPECT_EQ(expected.size(), flat.RangeCount(window));
 
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {RTree::Metric::kMinDist, RTree::Metric::kMaxDist}) {
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
       for (size_t k : {1u, 5u, 23u}) {
-        EXPECT_EQ(Distances(mutable_tree.KNearest(q, k, metric)),
-                  Distances(flat.KNearest(q, k, metric)))
+        EXPECT_EQ(BruteKnn(alive, q, k, metric),
+                  Pairs(flat.KNearest(q, k, metric)))
             << "metric=" << static_cast<int>(metric) << " k=" << k;
       }
-      const auto exact = mutable_tree.Nearest(q, metric);
+      const auto exact = BruteKnn(alive, q, 1, metric);
       const auto packed = flat.Nearest(q, metric);
-      ASSERT_EQ(exact.found, packed.found);
-      EXPECT_DOUBLE_EQ(exact.neighbor.distance, packed.neighbor.distance);
+      ASSERT_TRUE(packed.found);
+      EXPECT_EQ(exact.front().first, packed.neighbor.distance);
+      EXPECT_EQ(exact.front().second, packed.neighbor.id);
     }
   }
 }
@@ -149,21 +168,19 @@ TEST(FlatRTreeTest, DifferentialAgainstGuttmanAfterRandomizedMutations) {
 /// exactly, under both metrics (which coincide for points).
 TEST(FlatRTreeTest, DifferentialPointEntriesExactIds) {
   Rng rng(1234);
-  std::vector<RTree::Entry> entries;
-  RTree mutable_tree(16);
+  std::vector<Entry> entries;
   for (size_t i = 0; i < 500; ++i) {
     const Point p = rng.PointIn(kSpace);
     entries.push_back({Rect::FromPoint(p), i});
-    mutable_tree.Insert(entries.back().box, i);
   }
   FlatRTree flat = FlatRTree::Build(entries, 16);
   ASSERT_TRUE(flat.CheckInvariants());
   for (int trial = 0; trial < 40; ++trial) {
     const Point q = rng.PointIn(kSpace);
-    for (auto metric : {RTree::Metric::kMinDist, RTree::Metric::kMaxDist}) {
+    for (auto metric : {Metric::kMinDist, Metric::kMaxDist}) {
       for (size_t k : {1u, 10u}) {
-        EXPECT_EQ(Canonical(mutable_tree.KNearest(q, k, metric)),
-                  Canonical(flat.KNearest(q, k, metric)));
+        EXPECT_EQ(BruteKnn(entries, q, k, metric),
+                  Pairs(flat.KNearest(q, k, metric)));
       }
     }
   }
@@ -173,7 +190,7 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   Rng rng(7);
   FlatRTree tree = FlatRTree::Build(RandomRectEntries(200, &rng, 0.05), 8);
   size_t seen = 0;
-  tree.RangeQuery(kSpace, [&seen](const RTree::Entry&) {
+  tree.RangeQuery(kSpace, [&seen](const Entry&) {
     ++seen;
     return seen < 10;
   });
@@ -182,8 +199,8 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
   // Filtering away even ids must yield the odd-id k-NN answer.
   const Point q{0.5, 0.5};
   auto odd_only = tree.KNearestFiltered(
-      q, 8, RTree::Metric::kMinDist,
-      [](const RTree::Entry& e) { return e.id % 2 == 1; });
+      q, 8, Metric::kMinDist,
+      [](const Entry& e) { return e.id % 2 == 1; });
   ASSERT_EQ(odd_only.size(), 8u);
   for (const auto& n : odd_only) EXPECT_EQ(n.id % 2, 1u);
   // Ascending distance, and no unfiltered entry closer than the last.
@@ -194,7 +211,7 @@ TEST(FlatRTreeTest, VisitorEarlyStopAndFilteredKnn) {
 
 TEST(FlatRTreeTest, BatchedKernelsMatchScalar) {
   Rng rng(99);
-  std::vector<RTree::Entry> entries = RandomRectEntries(100, &rng, 0.1);
+  std::vector<Entry> entries = RandomRectEntries(100, &rng, 0.1);
   std::vector<double> xlo, ylo, xhi, yhi;
   for (const auto& e : entries) {
     xlo.push_back(e.box.min.x);
