@@ -11,6 +11,7 @@
 
 #include "src/anonymizer/adaptive_anonymizer.h"
 #include "src/anonymizer/basic_anonymizer.h"
+#include "src/casper/messages.h"
 #include "src/casper/workload.h"
 #include "src/common/rng.h"
 #include "src/network/network_generator.h"
@@ -278,6 +279,89 @@ void BM_SimulatorTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorTick)->Arg(1000)->Arg(10000);
+
+// --- Wire codec: candidate lists and snapshots ----------------------------
+//
+// Throughput in bytes of encoded frame per second, checksum included:
+// encode, owning decode and view decode of an NN candidate list, and a
+// snapshot encode.
+
+CandidateListMsg NearestCandidateList(size_t n) {
+  Rng rng(31);
+  processor::PublicCandidateList list;
+  for (uint64_t i = 0; i < n; ++i) {
+    list.candidates.push_back({i, rng.PointIn(Rect(0, 0, 1, 1))});
+  }
+  list.area.a_ext = Rect(0.4, 0.4, 0.6, 0.6);
+  CandidateListMsg msg;
+  msg.kind = QueryKind::kNearestPublic;
+  msg.request_id = 1;
+  msg.payload = std::move(list);
+  return msg;
+}
+
+void BM_CandidateListEncode(benchmark::State& state) {
+  const CandidateListMsg msg =
+      NearestCandidateList(static_cast<size_t>(state.range(0)));
+  size_t frame_bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = Encode(msg);
+    frame_bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame_bytes));
+}
+BENCHMARK(BM_CandidateListEncode)->Arg(1000)->Arg(30000);
+
+void BM_CandidateListDecode(benchmark::State& state) {
+  const std::string frame =
+      Encode(NearestCandidateList(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto msg = DecodeCandidateList(frame);
+    CASPER_DCHECK(msg.ok());
+    benchmark::DoNotOptimize(msg->payload);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame.size()));
+}
+BENCHMARK(BM_CandidateListDecode)->Arg(1000)->Arg(30000);
+
+void BM_CandidateListDecodeView(benchmark::State& state) {
+  const std::string frame =
+      Encode(NearestCandidateList(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto view = DecodeCandidateListView(frame);
+    CASPER_DCHECK(view.ok());
+    benchmark::DoNotOptimize(view->payload);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame.size()));
+}
+BENCHMARK(BM_CandidateListDecodeView)->Arg(1000)->Arg(30000);
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  Rng rng(37);
+  SnapshotMsg snapshot;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const Point p = rng.PointIn(Rect(0, 0, 1, 1));
+    snapshot.regions.push_back(
+        {static_cast<uint64_t>(i), Rect(p.x, p.y, p.x + 0.01, p.y + 0.01)});
+  }
+  size_t frame_bytes = 0;
+  for (auto _ : state) {
+    const std::string frame = Encode(snapshot);
+    frame_bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() *
+                                               frame_bytes));
+}
+BENCHMARK(BM_SnapshotEncode)->Arg(20000);
 
 // --- Storage tier: page codec and buffer pool ------------------------------
 

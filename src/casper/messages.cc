@@ -1,5 +1,7 @@
 #include "src/casper/messages.h"
 
+#include <tuple>
+
 #include "src/common/codec.h"
 
 namespace casper {
@@ -17,7 +19,7 @@ constexpr uint8_t kTagAck = 0xC6;
 // --- Frame integrity -------------------------------------------------------
 //
 // Every encoded message carries a trailing FNV-1a-64 checksum of the
-// frame body (wire::Seal / wire::Unseal, shared with the storage tier
+// frame body (wire::Writer::Seal / wire::Unseal, shared with the storage tier
 // via src/common/codec.h). Without it, a transport-corrupted byte
 // inside a raw double (a coordinate, a distance) is indistinguishable
 // from a different valid measurement and would decode as a *different
@@ -27,7 +29,6 @@ constexpr uint8_t kTagAck = 0xC6;
 // into a retryable transport failure instead of a silent wrong answer.
 
 using wire::Reader;
-using wire::Seal;
 using wire::Unseal;
 using wire::Writer;
 
@@ -43,28 +44,32 @@ bool ValidPolicy(uint8_t policy) {
   return policy == 1 || policy == 2 || policy == 4;
 }
 
-void Put(Writer& w, const processor::PublicTarget& t) {
-  w.U64(t.id);
-  w.P(t.position);
+// Encoded sizes. A frame's size is known before its first byte is
+// written, so every encoder makes exactly one allocation.
+constexpr size_t kRectBytes = 32;
+constexpr size_t kEdgeBytes = 8 + 1 + 16;  // max_d, has_middle, middle.
+constexpr size_t kExtendedAreaBytes =
+    kRectBytes +
+    std::tuple_size_v<decltype(processor::ExtendedArea::edges)> * kEdgeBytes;
+constexpr size_t kCountBytes = 8;
+
+/// Body bytes of a container of `n` fixed-layout records.
+template <typename T>
+constexpr size_t BlockBytes(size_t n) {
+  return kCountBytes + n * sizeof(T);
 }
 
-void Put(Writer& w, const processor::PrivateTarget& t) {
-  w.U64(t.id);
-  w.R(t.region);
+template <typename T>
+void PutBlock(Writer& w, const std::vector<T>& records) {
+  w.Count(records.size());
+  w.Block(records.data(), records.size());
 }
 
-processor::PublicTarget GetPublicTarget(Reader& r) {
-  processor::PublicTarget t;
-  t.id = r.U64();
-  t.position = r.P();
-  return t;
-}
-
-processor::PrivateTarget GetPrivateTarget(Reader& r) {
-  processor::PrivateTarget t;
-  t.id = r.U64();
-  t.region = r.R();
-  return t;
+/// A length-prefixed record block, left in the frame as a span.
+template <typename T>
+WireSpan<T> GetBlock(Reader& r) {
+  const size_t n = r.Count(sizeof(T));
+  return WireSpan<T>(r.Skip(n * sizeof(T)), n);
 }
 
 void Put(Writer& w, const processor::ExtendedArea& area) {
@@ -87,169 +92,88 @@ processor::ExtendedArea GetExtendedArea(Reader& r) {
   return area;
 }
 
-constexpr size_t kPublicTargetBytes = 8 + 16;
-constexpr size_t kPrivateTargetBytes = 8 + 32;
+/// Encoded size of a payload: its index byte plus the fields PutPayload
+/// writes for that alternative.
+size_t PayloadBytes(const ServerPayload& payload) {
+  using processor::PrivateTarget;
+  using processor::PublicTarget;
+  const size_t body = std::visit(
+      [](const auto& p) -> size_t {
+        using T = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, processor::PublicCandidateList>) {
+          return BlockBytes<PublicTarget>(p.candidates.size()) +
+                 kExtendedAreaBytes + 1;
+        } else if constexpr (std::is_same_v<T, processor::KnnCandidateList>) {
+          return BlockBytes<PublicTarget>(p.candidates.size()) + kRectBytes +
+                 8;
+        } else if constexpr (std::is_same_v<T,
+                                            processor::PublicRangeCandidates>) {
+          return BlockBytes<PublicTarget>(p.candidates.size()) + kRectBytes;
+        } else if constexpr (std::is_same_v<T,
+                                            processor::PrivateCandidateList>) {
+          return BlockBytes<PrivateTarget>(p.candidates.size()) +
+                 kExtendedAreaBytes + 1;
+        } else if constexpr (std::is_same_v<T,
+                                            processor::PublicNNCandidates>) {
+          return BlockBytes<processor::PublicNNCandidates::Candidate>(
+                     p.candidates.size()) +
+                 8;
+        } else if constexpr (std::is_same_v<T, processor::RangeCountResult>) {
+          return 3 * 8 + BlockBytes<PrivateTarget>(p.overlapping.size());
+        } else {
+          static_assert(std::is_same_v<T, processor::DensityMap>);
+          return kRectBytes + 4 + 4 + p.cells().size() * sizeof(double);
+        }
+      },
+      payload);
+  return 1 + body;
+}
 
 void PutPayload(Writer& w, const ServerPayload& payload) {
   w.U8(static_cast<uint8_t>(payload.index()));
   if (const auto* p = std::get_if<processor::PublicCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    PutBlock(w, p->candidates);
     Put(w, p->area);
     w.U8(static_cast<uint8_t>(p->policy));
   } else if (const auto* p =
                  std::get_if<processor::KnnCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    PutBlock(w, p->candidates);
     w.R(p->a_ext);
     w.U64(p->k);
   } else if (const auto* p =
                  std::get_if<processor::PublicRangeCandidates>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    PutBlock(w, p->candidates);
     w.R(p->search_window);
   } else if (const auto* p =
                  std::get_if<processor::PrivateCandidateList>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& t : p->candidates) Put(w, t);
+    PutBlock(w, p->candidates);
     Put(w, p->area);
     w.U8(static_cast<uint8_t>(p->policy));
   } else if (const auto* p =
                  std::get_if<processor::PublicNNCandidates>(&payload)) {
-    w.Count(p->candidates.size());
-    for (const auto& c : p->candidates) {
-      Put(w, c.target);
-      w.F64(c.min_dist);
-      w.F64(c.max_dist);
-    }
+    PutBlock(w, p->candidates);
     w.F64(p->minimax_bound);
   } else if (const auto* p =
                  std::get_if<processor::RangeCountResult>(&payload)) {
     w.U64(p->certain);
     w.U64(p->possible);
     w.F64(p->expected);
-    w.Count(p->overlapping.size());
-    for (const auto& t : p->overlapping) Put(w, t);
+    PutBlock(w, p->overlapping);
   } else if (const auto* p = std::get_if<processor::DensityMap>(&payload)) {
     w.R(p->extent());
     w.I32(p->cols());
     w.I32(p->rows());
-    for (int row = 0; row < p->rows(); ++row) {
-      for (int col = 0; col < p->cols(); ++col) {
-        w.F64(p->At(col, row));
-      }
-    }
+    w.Block(p->cells().data(), p->cells().size());  // Row-major.
   }
 }
 
-Result<ServerPayload> GetPayload(Reader& r) {
-  const uint8_t index = r.U8();
-  if (r.failed()) return Status::InvalidArgument("truncated payload");
-  switch (index) {
-    case 0: {
-      processor::PublicCandidateList list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      list.policy = static_cast<processor::FilterPolicy>(policy);
-      return ServerPayload(std::move(list));
-    }
-    case 1: {
-      processor::KnnCandidateList list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.a_ext = r.R();
-      list.k = static_cast<size_t>(r.U64());
-      return ServerPayload(std::move(list));
-    }
-    case 2: {
-      processor::PublicRangeCandidates list;
-      const size_t n = r.Count(kPublicTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPublicTarget(r));
-      list.search_window = r.R();
-      return ServerPayload(std::move(list));
-    }
-    case 3: {
-      processor::PrivateCandidateList list;
-      const size_t n = r.Count(kPrivateTargetBytes);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) list.candidates.push_back(GetPrivateTarget(r));
-      list.area = GetExtendedArea(r);
-      const uint8_t policy = r.U8();
-      if (!ValidPolicy(policy)) {
-        return Status::InvalidArgument("bad filter policy");
-      }
-      list.policy = static_cast<processor::FilterPolicy>(policy);
-      return ServerPayload(std::move(list));
-    }
-    case 4: {
-      processor::PublicNNCandidates list;
-      const size_t n = r.Count(kPrivateTargetBytes + 16);
-      list.candidates.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        processor::PublicNNCandidates::Candidate c;
-        c.target = GetPrivateTarget(r);
-        c.min_dist = r.F64();
-        c.max_dist = r.F64();
-        list.candidates.push_back(c);
-      }
-      list.minimax_bound = r.F64();
-      return ServerPayload(std::move(list));
-    }
-    case 5: {
-      processor::RangeCountResult result;
-      result.certain = static_cast<size_t>(r.U64());
-      result.possible = static_cast<size_t>(r.U64());
-      result.expected = r.F64();
-      const size_t n = r.Count(kPrivateTargetBytes);
-      result.overlapping.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        result.overlapping.push_back(GetPrivateTarget(r));
-      }
-      return ServerPayload(std::move(result));
-    }
-    case 6: {
-      const Rect extent = r.R();
-      const int32_t cols = r.I32();
-      const int32_t rows = r.I32();
-      if (r.failed() || cols < 1 || rows < 1 ||
-          static_cast<uint64_t>(cols) * static_cast<uint64_t>(rows) >
-              r.Remaining() / 8) {
-        return Status::InvalidArgument("bad density grid");
-      }
-      std::vector<double> cells;
-      cells.reserve(static_cast<size_t>(cols) * static_cast<size_t>(rows));
-      for (int64_t i = 0; i < int64_t{cols} * rows; ++i) cells.push_back(r.F64());
-      CASPER_ASSIGN_OR_RETURN(
-          map, processor::DensityMap::FromCells(extent, cols, rows,
-                                                std::move(cells)));
-      return ServerPayload(std::move(map));
-    }
-    default:
-      return Status::InvalidArgument("unknown payload kind");
-  }
-}
-
-/// Zero-copy mirror of GetPayload: identical validation order and
-/// identical failure conditions (the codec fuzz test asserts acceptance
-/// parity between the two), but the record blocks are skipped in place
-/// and wrapped in WireSpans instead of being copied out.
 Result<ServerPayloadView> GetPayloadView(Reader& r) {
   const uint8_t index = r.U8();
   if (r.failed()) return Status::InvalidArgument("truncated payload");
   switch (index) {
     case 0: {
       PublicCandidateListView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = GetBlock<processor::PublicTarget>(r);
       view.area = GetExtendedArea(r);
       const uint8_t policy = r.U8();
       if (r.failed()) return Status::InvalidArgument("truncated payload");
@@ -261,26 +185,20 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
     }
     case 1: {
       KnnCandidateListView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = GetBlock<processor::PublicTarget>(r);
       view.a_ext = r.R();
       view.k = r.U64();
       return ServerPayloadView(view);
     }
     case 2: {
       PublicRangeCandidatesView view;
-      const size_t n = r.Count(kPublicTargetBytes);
-      const char* data = r.Skip(n * kPublicTargetBytes);
-      view.candidates = WireSpan<processor::PublicTarget>(data, n);
+      view.candidates = GetBlock<processor::PublicTarget>(r);
       view.search_window = r.R();
       return ServerPayloadView(view);
     }
     case 3: {
       PrivateCandidateListView view;
-      const size_t n = r.Count(kPrivateTargetBytes);
-      const char* data = r.Skip(n * kPrivateTargetBytes);
-      view.candidates = WireSpan<processor::PrivateTarget>(data, n);
+      view.candidates = GetBlock<processor::PrivateTarget>(r);
       view.area = GetExtendedArea(r);
       const uint8_t policy = r.U8();
       if (r.failed()) return Status::InvalidArgument("truncated payload");
@@ -292,10 +210,7 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
     }
     case 4: {
       PublicNNCandidatesView view;
-      const size_t n = r.Count(kPrivateTargetBytes + 16);
-      const char* data = r.Skip(n * (kPrivateTargetBytes + 16));
-      view.candidates =
-          WireSpan<processor::PublicNNCandidates::Candidate>(data, n);
+      view.candidates = GetBlock<processor::PublicNNCandidates::Candidate>(r);
       view.minimax_bound = r.F64();
       return ServerPayloadView(view);
     }
@@ -304,9 +219,7 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
       view.certain = r.U64();
       view.possible = r.U64();
       view.expected = r.F64();
-      const size_t n = r.Count(kPrivateTargetBytes);
-      const char* data = r.Skip(n * kPrivateTargetBytes);
-      view.overlapping = WireSpan<processor::PrivateTarget>(data, n);
+      view.overlapping = GetBlock<processor::PrivateTarget>(r);
       return ServerPayloadView(view);
     }
     case 6: {
@@ -316,18 +229,30 @@ Result<ServerPayloadView> GetPayloadView(Reader& r) {
       view.rows = r.I32();
       if (r.failed() || view.cols < 1 || view.rows < 1 ||
           static_cast<uint64_t>(view.cols) * static_cast<uint64_t>(view.rows) >
-              r.Remaining() / 8) {
+              r.Remaining() / sizeof(double)) {
         return Status::InvalidArgument("bad density grid");
       }
       const size_t n =
           static_cast<size_t>(view.cols) * static_cast<size_t>(view.rows);
-      const char* data = r.Skip(n * 8);
-      view.cells = WireSpan<double>(data, n);
+      view.cells = WireSpan<double>(r.Skip(n * sizeof(double)), n);
       return ServerPayloadView(view);
     }
     default:
       return Status::InvalidArgument("unknown payload kind");
   }
+}
+
+// Fixed message bodies, tag byte included.
+constexpr size_t kCloakedQueryBytes =
+    1 + 1 + 8 + kRectBytes + 8 + 8 + 1 + 8 + 16 + kRectBytes + 4 + 4;
+constexpr size_t kRegionUpsertBytes = 1 + 8 + 8 + 1 + 8 + kRectBytes;
+constexpr size_t kRegionRemoveBytes = 1 + 8 + 8;
+constexpr size_t kCandidateListHeaderBytes = 1 + 1 + 8 + 1 + 8;
+constexpr size_t kAckHeaderBytes = 1 + 8 + 1 + kCountBytes;
+
+/// A writer for a sealed frame of `body_bytes` plus its checksum.
+Writer FrameWriter(size_t body_bytes) {
+  return Writer(body_bytes + wire::kChecksumBytes);
 }
 
 }  // namespace
@@ -353,7 +278,7 @@ size_t RecordCount(const ServerPayload& payload) {
 }
 
 std::string Encode(const CloakedQueryMsg& msg) {
-  Writer w;
+  Writer w = FrameWriter(kCloakedQueryBytes);
   w.U8(kTagCloakedQuery);
   w.U8(static_cast<uint8_t>(msg.kind));
   w.U64(msg.request_id);
@@ -366,7 +291,7 @@ std::string Encode(const CloakedQueryMsg& msg) {
   w.R(msg.region);
   w.I32(msg.cols);
   w.I32(msg.rows);
-  return Seal(w.Take());
+  return w.Seal();
 }
 
 Result<CloakedQueryMsg> DecodeCloakedQuery(std::string_view bytes) {
@@ -396,14 +321,14 @@ Result<CloakedQueryMsg> DecodeCloakedQuery(std::string_view bytes) {
 }
 
 std::string Encode(const RegionUpsertMsg& msg) {
-  Writer w;
+  Writer w = FrameWriter(kRegionUpsertBytes);
   w.U8(kTagRegionUpsert);
   w.U64(msg.request_id);
   w.U64(msg.handle);
   w.Bool(msg.has_replaces);
   w.U64(msg.replaces);
   w.R(msg.region);
-  return Seal(w.Take());
+  return w.Seal();
 }
 
 Result<RegionUpsertMsg> DecodeRegionUpsert(std::string_view bytes) {
@@ -423,11 +348,11 @@ Result<RegionUpsertMsg> DecodeRegionUpsert(std::string_view bytes) {
 }
 
 std::string Encode(const RegionRemoveMsg& msg) {
-  Writer w;
+  Writer w = FrameWriter(kRegionRemoveBytes);
   w.U8(kTagRegionRemove);
   w.U64(msg.request_id);
   w.U64(msg.handle);
-  return Seal(w.Take());
+  return w.Seal();
 }
 
 Result<RegionRemoveMsg> DecodeRegionRemove(std::string_view bytes) {
@@ -444,60 +369,33 @@ Result<RegionRemoveMsg> DecodeRegionRemove(std::string_view bytes) {
 }
 
 std::string Encode(const SnapshotMsg& msg) {
-  Writer w;
+  Writer w = FrameWriter(
+      1 + BlockBytes<processor::PrivateTarget>(msg.regions.size()));
   w.U8(kTagSnapshot);
-  w.Count(msg.regions.size());
-  for (const auto& t : msg.regions) Put(w, t);
-  return Seal(w.Take());
+  PutBlock(w, msg.regions);
+  return w.Seal();
 }
 
 Result<SnapshotMsg> DecodeSnapshot(std::string_view bytes) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "Snapshot"));
-  Reader r(body);
-  if (!r.Tag(kTagSnapshot)) {
-    return Status::InvalidArgument("not a SnapshotMsg");
-  }
-  SnapshotMsg msg;
-  const size_t n = r.Count(kPrivateTargetBytes);
-  msg.regions.reserve(n);
-  for (size_t i = 0; i < n; ++i) msg.regions.push_back(GetPrivateTarget(r));
-  CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
-  return msg;
+  CASPER_ASSIGN_OR_RETURN(view, DecodeSnapshotView(bytes));
+  return view.Materialize();
 }
 
 std::string Encode(const CandidateListMsg& msg) {
-  Writer w;
+  Writer w =
+      FrameWriter(kCandidateListHeaderBytes + PayloadBytes(msg.payload));
   w.U8(kTagCandidateList);
   w.U8(static_cast<uint8_t>(msg.kind));
   w.U64(msg.request_id);
   w.Bool(msg.degraded);
   w.F64(msg.processor_seconds);
   PutPayload(w, msg.payload);
-  return Seal(w.Take());
+  return w.Seal();
 }
 
 Result<CandidateListMsg> DecodeCandidateList(std::string_view bytes) {
-  CASPER_ASSIGN_OR_RETURN(body, Unseal(bytes, "CandidateList"));
-  Reader r(body);
-  if (!r.Tag(kTagCandidateList)) {
-    return Status::InvalidArgument("not a CandidateListMsg");
-  }
-  const uint8_t kind = r.U8();
-  if (r.failed() || !ValidKind(kind)) {
-    return Status::InvalidArgument("bad query kind");
-  }
-  const uint64_t request_id = r.U64();
-  const bool degraded = r.Bool();
-  const double processor_seconds = r.F64();
-  CASPER_ASSIGN_OR_RETURN(payload, GetPayload(r));
-  CASPER_RETURN_IF_ERROR(r.Finish("CandidateList"));
-  CandidateListMsg msg;
-  msg.kind = static_cast<QueryKind>(kind);
-  msg.request_id = request_id;
-  msg.degraded = degraded;
-  msg.processor_seconds = processor_seconds;
-  msg.payload = std::move(payload);
-  return msg;
+  CASPER_ASSIGN_OR_RETURN(view, DecodeCandidateListView(bytes));
+  return view.Materialize();
 }
 
 Status AckMsg::ToStatus() const {
@@ -527,12 +425,12 @@ AckMsg AckMsg::For(uint64_t request_id, const Status& status) {
 }
 
 std::string Encode(const AckMsg& msg) {
-  Writer w;
+  Writer w = FrameWriter(kAckHeaderBytes + msg.message.size());
   w.U8(kTagAck);
   w.U64(msg.request_id);
   w.U8(static_cast<uint8_t>(msg.code));
   w.Str(msg.message);
-  return Seal(w.Take());
+  return w.Seal();
 }
 
 Result<AckMsg> DecodeAck(std::string_view bytes) {
@@ -648,9 +546,7 @@ Result<SnapshotView> DecodeSnapshotView(std::string_view frame) {
     return Status::InvalidArgument("not a SnapshotMsg");
   }
   SnapshotView view;
-  const size_t n = r.Count(kPrivateTargetBytes);
-  const char* data = r.Skip(n * kPrivateTargetBytes);
-  view.regions = WireSpan<processor::PrivateTarget>(data, n);
+  view.regions = GetBlock<processor::PrivateTarget>(r);
   CASPER_RETURN_IF_ERROR(r.Finish("Snapshot"));
   return view;
 }
@@ -686,10 +582,7 @@ uint64_t RequestIdOf(std::string_view bytes) {
   }
   if (bytes.size() < offset + 8) return 0;
   uint64_t id = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    id |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[offset + i]))
-          << (8 * i);
-  }
+  std::memcpy(&id, bytes.data() + offset, sizeof(id));
   return id;
 }
 

@@ -1,10 +1,12 @@
 #ifndef CASPER_CASPER_MESSAGES_H_
 #define CASPER_CASPER_MESSAGES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -285,7 +287,8 @@ class PrivateStoreSink {
 // ---------------------------------------------------------------------------
 //
 // Each Encode() emits a self-describing byte string (leading message
-// tag); each Decode*() validates the tag, every length prefix, and that
+// tag, trailing checksum) into one allocation of exactly the frame's
+// size; each Decode*() validates the tag, every length prefix, and that
 // the buffer is fully consumed, so truncated or mistyped buffers fail
 // with InvalidArgument instead of crashing.
 
@@ -326,97 +329,43 @@ Result<MessageTag> TagOf(std::string_view bytes);
 uint64_t RequestIdOf(std::string_view bytes);
 
 // ---------------------------------------------------------------------------
-// Zero-copy decode views
+// Decode views
 // ---------------------------------------------------------------------------
 //
-// The owning Decode*() functions above copy every repeated record into
-// std::vectors. On the query hot path that is wasted work: the
-// resilient client validates each response frame before using it, and
-// the server endpoint re-materializes snapshot regions it immediately
-// bulk-loads into the store. The *View decoders below validate a frame
-// exactly as strictly as the owning decoders (checksum, tag, length
-// prefixes, enum ranges, full consumption — the codec fuzz test asserts
-// acceptance parity) but materialize no vectors: a WireSpan addresses
-// the repeated records inside the caller's frame buffer and decodes one
-// record per access. Views borrow the frame — the frame must outlive
-// the view — while any value read *out* of a view is an independent
-// copy that survives later frame mutation or destruction.
+// Every decoder is a view decoder: Decode*View() checks a frame's
+// checksum, tag, length prefixes, enum ranges and full consumption, and
+// leaves each repeated record block in place as a WireSpan over the
+// caller's frame buffer. The owning Decode*() functions above are that
+// same decode followed by Materialize(), so both accept exactly the
+// same frames. Views borrow the frame — the frame must outlive the view
+// — while any value read *out* of a view is an independent copy that
+// survives later frame mutation or destruction.
+//
+// Record blocks cross the wire in their host representation: each
+// record type's in-memory layout is its little-endian wire layout field
+// for field (asserted below; src/common/codec.h asserts a little-endian
+// host), so a block encodes and decodes with one memcpy. Record offsets
+// inside a frame carry no alignment guarantee, which memcpy tolerates
+// and a typed load would not.
 
-namespace wire {
+static_assert(sizeof(Point) == 16 && offsetof(Point, y) == 8);
+static_assert(sizeof(Rect) == 32 && offsetof(Rect, max) == 16);
+static_assert(sizeof(processor::PublicTarget) == 24 &&
+              offsetof(processor::PublicTarget, position) == 8);
+static_assert(sizeof(processor::PrivateTarget) == 40 &&
+              offsetof(processor::PrivateTarget, region) == 8);
+static_assert(sizeof(processor::PublicNNCandidates::Candidate) == 56 &&
+              offsetof(processor::PublicNNCandidates::Candidate,
+                       min_dist) == 40 &&
+              offsetof(processor::PublicNNCandidates::Candidate,
+                       max_dist) == 48);
 
-/// Little-endian loads assembled byte by byte (never reinterpret_cast:
-/// record offsets inside a frame carry no alignment guarantee, and an
-/// unaligned typed load would be UB).
-inline uint64_t LoadU64LE(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-inline double LoadF64LE(const char* p) {
-  const uint64_t bits = LoadU64LE(p);
-  double v;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-}  // namespace wire
-
-/// Wire layout of one repeated record type: fixed stride plus the
-/// per-field decode. Specialized for every record that appears inside a
-/// length-prefixed container.
-template <typename T>
-struct WireRecord;
-
-template <>
-struct WireRecord<double> {
-  static constexpr size_t kBytes = 8;
-  static double Read(const char* p) { return wire::LoadF64LE(p); }
-};
-
-template <>
-struct WireRecord<processor::PublicTarget> {
-  static constexpr size_t kBytes = 24;
-  static processor::PublicTarget Read(const char* p) {
-    processor::PublicTarget t;
-    t.id = wire::LoadU64LE(p);
-    t.position = Point{wire::LoadF64LE(p + 8), wire::LoadF64LE(p + 16)};
-    return t;
-  }
-};
-
-template <>
-struct WireRecord<processor::PrivateTarget> {
-  static constexpr size_t kBytes = 40;
-  static processor::PrivateTarget Read(const char* p) {
-    processor::PrivateTarget t;
-    t.id = wire::LoadU64LE(p);
-    t.region = Rect(wire::LoadF64LE(p + 8), wire::LoadF64LE(p + 16),
-                    wire::LoadF64LE(p + 24), wire::LoadF64LE(p + 32));
-    return t;
-  }
-};
-
-template <>
-struct WireRecord<processor::PublicNNCandidates::Candidate> {
-  static constexpr size_t kBytes = WireRecord<processor::PrivateTarget>::kBytes + 16;
-  static processor::PublicNNCandidates::Candidate Read(const char* p) {
-    processor::PublicNNCandidates::Candidate c;
-    c.target = WireRecord<processor::PrivateTarget>::Read(p);
-    c.min_dist = wire::LoadF64LE(p + 40);
-    c.max_dist = wire::LoadF64LE(p + 48);
-    return c;
-  }
-};
-
-/// Lazily-decoded span of fixed-stride records inside a validated
-/// frame. Indexing decodes record i on the fly; nothing is copied until
-/// the caller asks for it.
+/// Span of fixed-layout records inside a validated frame. Indexing
+/// copies record i out; nothing is copied until the caller asks for it.
 template <typename T>
 class WireSpan {
+  static_assert(std::is_trivially_copyable_v<T>);
+
  public:
   WireSpan() = default;
   WireSpan(const char* data, size_t count) : data_(data), count_(count) {}
@@ -424,16 +373,17 @@ class WireSpan {
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
-  /// Decode record i out of the frame (an independent copy).
+  /// Record i, copied out of the frame.
   T operator[](size_t i) const {
-    return WireRecord<T>::Read(data_ + i * WireRecord<T>::kBytes);
+    T record{};
+    std::memcpy(&record, data_ + i * sizeof(T), sizeof(T));
+    return record;
   }
 
-  /// Copy every record into an owning vector.
+  /// Every record, copied into an owning vector with one memcpy.
   std::vector<T> Materialize() const {
-    std::vector<T> out;
-    out.reserve(count_);
-    for (size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
+    std::vector<T> out(count_);
+    if (count_ > 0) std::memcpy(out.data(), data_, count_ * sizeof(T));
     return out;
   }
 

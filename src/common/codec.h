@@ -1,10 +1,12 @@
 #ifndef CASPER_COMMON_CODEC_H_
 #define CASPER_COMMON_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "src/common/geometry.h"
 #include "src/common/result.h"
@@ -20,6 +22,15 @@
 /// valid value. Decoders validate every length prefix and that the
 /// buffer is fully consumed; truncated or mistyped buffers fail with
 /// InvalidArgument instead of crashing.
+///
+/// Fixed-width fields and fixed-layout record blocks are copied with
+/// memcpy in host byte order, which is the wire order only on a
+/// little-endian host — hence the assertion below rather than per-field
+/// byte swaps.
+
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies fields in host byte order; the wire and "
+              "page formats are little-endian");
 
 namespace casper::wire {
 
@@ -34,15 +45,6 @@ inline uint64_t Fnv1a64(std::string_view bytes) {
   return hash;
 }
 
-/// Append the body's checksum, little-endian.
-inline std::string Seal(std::string body) {
-  const uint64_t sum = Fnv1a64(body);
-  for (size_t i = 0; i < kChecksumBytes; ++i) {
-    body.push_back(static_cast<char>(static_cast<uint8_t>(sum >> (8 * i))));
-  }
-  return body;
-}
-
 /// Verify and strip the trailing checksum, returning the frame body.
 /// `what` names the frame type in the error message.
 inline Result<std::string_view> Unseal(std::string_view frame,
@@ -54,10 +56,7 @@ inline Result<std::string_view> Unseal(std::string_view frame,
   const std::string_view body =
       frame.substr(0, frame.size() - kChecksumBytes);
   uint64_t sum = 0;
-  for (size_t i = 0; i < kChecksumBytes; ++i) {
-    sum |= static_cast<uint64_t>(static_cast<uint8_t>(frame[body.size() + i]))
-           << (8 * i);
-  }
+  std::memcpy(&sum, frame.data() + body.size(), kChecksumBytes);
   if (sum != Fnv1a64(body)) {
     return Status::InvalidArgument(std::string("checksum mismatch in ") +
                                    what + " frame");
@@ -65,22 +64,19 @@ inline Result<std::string_view> Unseal(std::string_view frame,
   return body;
 }
 
+/// Writes exactly `bytes` bytes into one allocation made up front: the
+/// caller computes the encoded size (checksum trailer included for a
+/// sealed frame), nothing grows while fields are appended, and
+/// Take()/Seal() check that the fields filled the reservation exactly.
 class Writer {
  public:
+  explicit Writer(size_t bytes) : bytes_(bytes) { out_.reserve(bytes); }
+
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I32(int32_t v) { Raw(&v, sizeof(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void P(const Point& p) {
     F64(p.x);
@@ -93,12 +89,35 @@ class Writer {
   void Count(size_t n) { U64(static_cast<uint64_t>(n)); }
   void Str(std::string_view s) {
     Count(s.size());
-    out_.append(s);
+    Raw(s.data(), s.size());
   }
 
-  std::string Take() { return std::move(out_); }
+  /// `n` records whose host layout is their wire layout, in one copy.
+  template <typename T>
+  void Block(const T* records, size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Raw(records, n * sizeof(T));
+  }
+
+  /// The written bytes, unsealed (storage pages).
+  std::string Take() {
+    CASPER_DCHECK(out_.size() == bytes_);
+    return std::move(out_);
+  }
+
+  /// Append the body's checksum, little-endian, and return the frame.
+  std::string Seal() {
+    CASPER_DCHECK(out_.size() + kChecksumBytes == bytes_);
+    U64(Fnv1a64(out_));
+    return std::move(out_);
+  }
 
  private:
+  void Raw(const void* p, size_t n) {
+    out_.append(static_cast<const char*>(p), n);
+  }
+
+  size_t bytes_;
   std::string out_;
 };
 
@@ -107,26 +126,13 @@ class Reader {
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   uint8_t U8() {
-    if (pos_ + 1 > bytes_.size()) return Fail<uint8_t>();
-    return static_cast<uint8_t>(bytes_[pos_++]);
+    const char* p = Skip(1);
+    return p != nullptr ? static_cast<uint8_t>(*p) : 0;
   }
-  uint32_t U32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(U8()) << (8 * i);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(U8()) << (8 * i);
-    return v;
-  }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  double F64() {
-    const uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  uint32_t U32() { return Fixed<uint32_t>(); }
+  uint64_t U64() { return Fixed<uint64_t>(); }
+  int32_t I32() { return Fixed<int32_t>(); }
+  double F64() { return Fixed<double>(); }
   bool Bool() {
     const uint8_t v = U8();
     if (v > 1) failed_ = true;
@@ -159,17 +165,15 @@ class Reader {
 
   std::string Str() {
     const size_t n = Count(1);
-    if (failed_) return std::string();
-    std::string s(bytes_.substr(pos_, n));
-    pos_ += n;
-    return s;
+    const char* p = Skip(n);
+    return p != nullptr ? std::string(p, n) : std::string();
   }
 
   bool Tag(uint8_t expected) { return U8() == expected && !failed_; }
 
-  /// Advance past `n` bytes and return their start — the zero-copy
-  /// decoders' window onto a record block. Null (and failed) when fewer
-  /// than `n` bytes remain.
+  /// Advance past `n` bytes and return their start — the decoders'
+  /// window onto a record block. Null (and failed) when fewer than `n`
+  /// bytes remain.
   const char* Skip(size_t n) {
     if (n > Remaining()) {
       failed_ = true;
@@ -193,9 +197,10 @@ class Reader {
 
  private:
   template <typename T>
-  T Fail() {
-    failed_ = true;
-    return T{};
+  T Fixed() {
+    T v{};
+    if (const char* p = Skip(sizeof(T))) std::memcpy(&v, p, sizeof(T));
+    return v;
   }
 
   std::string_view bytes_;

@@ -35,6 +35,8 @@ class DensityMap {
   int cols() const { return cols_; }
   int rows() const { return rows_; }
   const Rect& extent() const { return extent_; }
+  /// Row-major cells, `rows * cols` of them (the wire encoding).
+  const std::vector<double>& cells() const { return cells_; }
 
   /// Sum of all cells — equals the expected number of users inside the
   /// extent.

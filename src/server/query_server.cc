@@ -17,7 +17,9 @@ namespace casper::server {
 QueryServer::QueryServer(const QueryServerOptions& options)
     : options_(options),
       metrics_(options.metrics != nullptr ? options.metrics
-                                          : obs::CasperMetrics::Default()) {}
+                                          : obs::CasperMetrics::Default()),
+      outcomes_(options.idempotency_window),
+      retired_(std::max<size_t>(options.idempotency_window, 64)) {}
 
 void QueryServer::AddPublicTarget(const processor::PublicTarget& target) {
   public_store_.Insert(target);
@@ -45,35 +47,21 @@ void QueryServer::ExportEpochStats() const {
   }
 }
 
-const Status* QueryServer::ReplayOutcome(uint64_t request_id) const {
-  if (request_id == 0) return nullptr;
-  auto it = applied_.find(request_id);
-  return it != applied_.end() ? &it->second : nullptr;
+std::optional<Status> QueryServer::ReplayOutcome(uint64_t request_id) const {
+  if (request_id == 0) return std::nullopt;
+  return outcomes_.Find(request_id);
 }
 
 void QueryServer::RecordOutcome(uint64_t request_id, const Status& outcome) {
-  if (request_id == 0 || options_.idempotency_window == 0) return;
-  if (applied_.emplace(request_id, outcome).second) {
-    applied_order_.push_back(request_id);
-    if (applied_order_.size() > options_.idempotency_window) {
-      applied_.erase(applied_order_.front());
-      applied_order_.pop_front();
-    }
-  }
+  if (request_id != 0) outcomes_.Record(request_id, outcome);
 }
 
-void QueryServer::MarkRetired(uint64_t handle) {
-  if (retired_.insert(handle).second) {
-    retired_order_.push_back(handle);
-    // At least as deep as the outcome window: a replay old enough to
-    // have lost its outcome entry must still find the retirement mark.
-    const size_t bound = std::max<size_t>(options_.idempotency_window, 64);
-    if (retired_order_.size() > bound) {
-      retired_.erase(retired_order_.front());
-      retired_order_.pop_front();
-    }
-  }
+void QueryServer::ResetIdempotency() {
+  outcomes_.Clear();
+  retired_.Clear();
 }
+
+void QueryServer::MarkRetired(uint64_t handle) { retired_.Insert(handle, 0); }
 
 void QueryServer::RetireHandle(uint64_t handle) {
   auto it = stored_regions_.find(handle);
@@ -85,7 +73,9 @@ void QueryServer::RetireHandle(uint64_t handle) {
 }
 
 Status QueryServer::Apply(const RegionUpsertMsg& msg) {
-  if (const Status* replay = ReplayOutcome(msg.request_id)) return *replay;
+  if (std::optional<Status> replay = ReplayOutcome(msg.request_id)) {
+    return *std::move(replay);
+  }
   const Status outcome = ApplyUpsert(msg);
   RecordOutcome(msg.request_id, outcome);
   ExportEpochStats();
@@ -93,7 +83,7 @@ Status QueryServer::Apply(const RegionUpsertMsg& msg) {
 }
 
 Status QueryServer::ApplyUpsert(const RegionUpsertMsg& msg) {
-  if (retired_.count(msg.handle) > 0) {
+  if (retired_.Find(msg.handle) != nullptr) {
     // A replay old enough to have fallen out of the outcome window,
     // arriving after its handle was already replaced or removed:
     // re-inserting would resurrect obsolete state next to its
@@ -115,7 +105,9 @@ Status QueryServer::ApplyUpsert(const RegionUpsertMsg& msg) {
 }
 
 Status QueryServer::Apply(const RegionRemoveMsg& msg) {
-  if (const Status* replay = ReplayOutcome(msg.request_id)) return *replay;
+  if (std::optional<Status> replay = ReplayOutcome(msg.request_id)) {
+    return *std::move(replay);
+  }
   const Status outcome = ApplyRemove(msg);
   RecordOutcome(msg.request_id, outcome);
   ExportEpochStats();
@@ -159,10 +151,7 @@ Status QueryServer::LoadRegions(
   // A snapshot replaces the whole store, so outcomes recorded for the
   // incremental stream no longer describe current state; retries of
   // pre-snapshot maintenance must re-apply against the new store.
-  applied_.clear();
-  applied_order_.clear();
-  retired_.clear();
-  retired_order_.clear();
+  ResetIdempotency();
   ExportEpochStats();
   return Status::OK();
 }
@@ -180,7 +169,7 @@ Status QueryServer::Save(storage::IStorageManager* sm) const {
   CASPER_ASSIGN_OR_RETURN(public_root, public_store_.SaveTo(sm));
   CASPER_ASSIGN_OR_RETURN(private_root, private_store_.SaveTo(sm));
 
-  wire::Writer rw;
+  wire::Writer rw(8 + stored_regions_.size() * kRegionRecordBytes);
   rw.Count(stored_regions_.size());
   for (const auto& [handle, region] : stored_regions_) {
     rw.U64(handle);
@@ -190,7 +179,7 @@ Status QueryServer::Save(storage::IStorageManager* sm) const {
   CASPER_ASSIGN_OR_RETURN(regions_id,
                           sm->Store(storage::kNoPage, regions_page));
 
-  wire::Writer w;
+  wire::Writer w(4 + 3 * 8);
   w.U32(kManifestMagic);
   w.U64(public_root);
   w.U64(private_root);
@@ -242,10 +231,7 @@ Status QueryServer::Open(storage::IStorageManager* sm) {
   stored_regions_ = std::move(regions);
   // A reopen is a new process lifetime; recorded maintenance outcomes
   // do not survive it (same contract as a bulk snapshot Load).
-  applied_.clear();
-  applied_order_.clear();
-  retired_.clear();
-  retired_order_.clear();
+  ResetIdempotency();
   ExportEpochStats();
   return Status::OK();
 }

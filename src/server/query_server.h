@@ -1,15 +1,15 @@
 #ifndef CASPER_SERVER_QUERY_SERVER_H_
 #define CASPER_SERVER_QUERY_SERVER_H_
 
-#include <deque>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/casper/messages.h"
 #include "src/obs/casper_metrics.h"
 #include "src/processor/concurrent_query_cache.h"
 #include "src/processor/target_store.h"
+#include "src/server/id_window.h"
 #include "src/storage/storage_manager.h"
 
 /// \file
@@ -118,7 +118,7 @@ class QueryServer : public PrivateStoreSink {
   const QueryServerOptions& options() const { return options_; }
 
   /// Maintenance request ids whose outcome is remembered for replay.
-  size_t applied_request_count() const { return applied_.size(); }
+  size_t applied_request_count() const { return outcomes_.size(); }
 
  private:
   Result<CandidateListMsg> ExecuteImpl(
@@ -135,10 +135,13 @@ class QueryServer : public PrivateStoreSink {
   /// metrics state, keeping Execute() lock-free end to end).
   void ExportEpochStats() const;
 
-  /// Outcome previously recorded for `request_id`, or nullptr when the
+  /// Outcome previously recorded for `request_id`, or nullopt when the
   /// id is unkeyed (0) or unseen.
-  const Status* ReplayOutcome(uint64_t request_id) const;
+  std::optional<Status> ReplayOutcome(uint64_t request_id) const;
   void RecordOutcome(uint64_t request_id, const Status& outcome);
+
+  /// Forget every recorded outcome and retired handle (Load / Open).
+  void ResetIdempotency();
 
   /// Drop `handle` from the stores if present and remember it as
   /// retired, so a stale upsert replayed after window eviction cannot
@@ -155,12 +158,11 @@ class QueryServer : public PrivateStoreSink {
   std::unordered_map<uint64_t, Rect> stored_regions_;
   /// request_id -> recorded outcome, FIFO-bounded by the configured
   /// idempotency window.
-  std::unordered_map<uint64_t, Status> applied_;
-  std::deque<uint64_t> applied_order_;
-  /// Handles replaced or removed, FIFO-bounded like `applied_`: the
-  /// safety net for replays that outlive their window entry.
-  std::unordered_set<uint64_t> retired_;
-  std::deque<uint64_t> retired_order_;
+  OutcomeWindow outcomes_;
+  /// Handles replaced or removed, FIFO-bounded at max(window, 64): at
+  /// least as deep as the outcome window, so a replay old enough to have
+  /// lost its outcome entry still finds the retirement mark.
+  FifoIdWindow<> retired_;
 };
 
 }  // namespace casper::server

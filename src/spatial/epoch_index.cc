@@ -314,7 +314,8 @@ Result<storage::PageId> EpochIndex::Checkpoint(
     CASPER_ASSIGN_OR_RETURN(saved, base_->SaveTo(sm));
     base_root = saved;
   }
-  wire::Writer w;
+  wire::Writer w(4 + 4 + 8 + 8 + 8 + delta_.size() * kEntryBytes + 8 +
+                 dead_.size() * kEntryBytes);
   w.U32(kCheckpointMagic);
   w.I32(max_entries_);
   w.U64(rebuild_threshold_);

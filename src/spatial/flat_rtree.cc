@@ -356,7 +356,7 @@ Result<storage::PageId> FlatRTree::SaveTo(storage::IStorageManager* sm) const {
   std::vector<storage::PageId> entry_pages;
   for (size_t begin = 0; begin < nodes_.size(); begin += kNodesPerPage) {
     const size_t end = std::min(begin + kNodesPerPage, nodes_.size());
-    wire::Writer w;
+    wire::Writer w(8 + (end - begin) * kNodeRowBytes);
     w.Count(end - begin);
     for (size_t i = begin; i < end; ++i) {
       w.I32(nodes_[i].first);
@@ -374,7 +374,7 @@ Result<storage::PageId> FlatRTree::SaveTo(storage::IStorageManager* sm) const {
   for (size_t begin = 0; begin < entry_ids_.size();
        begin += kEntriesPerPage) {
     const size_t end = std::min(begin + kEntriesPerPage, entry_ids_.size());
-    wire::Writer w;
+    wire::Writer w(8 + (end - begin) * kEntryRowBytes);
     w.Count(end - begin);
     for (size_t i = begin; i < end; ++i) {
       w.U64(entry_ids_[i]);
@@ -388,7 +388,8 @@ Result<storage::PageId> FlatRTree::SaveTo(storage::IStorageManager* sm) const {
     entry_pages.push_back(id);
   }
 
-  wire::Writer w;
+  wire::Writer w(4 + 4 + 4 + 8 + 8 + 8 + node_pages.size() * 8 + 8 +
+                 entry_pages.size() * 8);
   w.U32(kTreeMagic);
   w.I32(max_entries_);
   w.I32(height_);

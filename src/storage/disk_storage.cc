@@ -102,7 +102,14 @@ Status DiskStorageManager::OpenDataFile(bool truncate) {
 }
 
 std::string DiskStorageManager::EncodeHeader() const {
-  wire::Writer w;
+  size_t page_bytes = 0;
+  for (const auto& page : pages_) {
+    page_bytes += 4 * 8 + page.second.slots.size() * 8;
+  }
+  wire::Writer w(8 + 4 + 8 + 8 + 8 + roots_.size() * 8 + 8 +
+                 (free_slots_.size() + quarantined_.size()) * 8 + 8 +
+                 free_ids_.size() * 8 + 8 + page_bytes +
+                 wire::kChecksumBytes);
   w.U64(kHeaderMagic);
   w.U32(kHeaderVersion);
   w.U64(page_size_);
@@ -124,7 +131,7 @@ std::string DiskStorageManager::EncodeHeader() const {
     w.Count(rec.slots.size());
     for (const uint64_t s : rec.slots) w.U64(s);
   }
-  return wire::Seal(w.Take());
+  return w.Seal();
 }
 
 Status DiskStorageManager::ReadHeader() {

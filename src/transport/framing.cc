@@ -5,12 +5,11 @@
 namespace casper::transport {
 
 std::string EncodeFrame(std::string_view payload) {
-  wire::Writer header;
-  header.U32(kFrameMagic);
-  header.U32(static_cast<uint32_t>(payload.size()));
-  std::string frame = header.Take();
-  frame.append(payload);
-  return frame;
+  wire::Writer frame(kFrameHeaderBytes + payload.size());
+  frame.U32(kFrameMagic);
+  frame.U32(static_cast<uint32_t>(payload.size()));
+  frame.Block(payload.data(), payload.size());
+  return frame.Take();
 }
 
 FrameDecoder::FrameDecoder(size_t max_frame_bytes)

@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "src/casper/messages.h"
@@ -160,20 +161,24 @@ class ResilientClient : public PrivateStoreSink {
 
   uint64_t NextRequestId() { return next_id_.fetch_add(1); }
 
+  /// A verified reply: the decoded answer for a candidate list, empty
+  /// for an OK ack.
+  using Reply = std::optional<CandidateListMsg>;
+
   /// The full resilience pipeline for one logical request: breaker
   /// admission, deadline, attempts with backoff, response validation
-  /// (id echo + decode). Returns the raw valid response bytes, or the
-  /// final classified Status.
-  Result<std::string> CallResilient(const std::string& request,
-                                    uint64_t request_id,
-                                    const CallContext& context);
+  /// (id echo + decode). Returns the verified reply, or the final
+  /// classified Status.
+  Result<Reply> CallResilient(const std::string& request, uint64_t request_id,
+                              const CallContext& context);
 
-  /// One attempt's response, classified: OK bytes for a valid answer
+  /// One attempt's response, classified: the reply for a valid answer
   /// (matching CandidateListMsg or OK AckMsg), the ack's status for an
   /// application error, kDataLoss for anything undecodable or answering
-  /// the wrong request.
-  Result<std::string> ClassifyResponse(Result<std::string> response,
-                                       uint64_t request_id);
+  /// the wrong request. A candidate list is decoded once — checksum and
+  /// structural walk — and the reply is materialized from that decode.
+  Result<Reply> ClassifyResponse(const Result<std::string>& response,
+                                 uint64_t request_id);
 
   /// Shared maintenance path: drain the backlog, send, queue on
   /// transport failure. Caller must hold maintenance_mu_.

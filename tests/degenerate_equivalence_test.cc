@@ -18,12 +18,21 @@
 namespace casper::processor {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes
+// wide; the policy is stored widened.
 struct Params {
   size_t targets;
   double cloak_size;
-  FilterPolicy policy;
+  int64_t policy;  ///< A FilterPolicy.
   uint64_t seed;
 };
+static_assert(sizeof(Params) == 4 * 8, "Params must have no padding");
+
+constexpr int64_t Widen(FilterPolicy policy) {
+  return static_cast<int64_t>(policy);
+}
 
 class DegenerateEquivalenceTest : public ::testing::TestWithParam<Params> {};
 
@@ -47,9 +56,10 @@ TEST_P(DegenerateEquivalenceTest, PublicAndDegeneratePrivateAgree) {
     const Point c = rng.PointIn(Rect(0, 0, 1 - s, 1 - s));
     const Rect cloak(c.x, c.y, c.x + s, c.y + s);
 
-    auto pub = PrivateNearestNeighbor(public_store, cloak, params.policy);
+    const auto policy = static_cast<FilterPolicy>(params.policy);
+    auto pub = PrivateNearestNeighbor(public_store, cloak, policy);
     PrivateNNOptions options;
-    options.policy = params.policy;
+    options.policy = policy;
     auto prv =
         PrivateNearestNeighborOverPrivate(private_store, cloak, options);
     ASSERT_TRUE(pub.ok());
@@ -73,12 +83,13 @@ TEST_P(DegenerateEquivalenceTest, PublicAndDegeneratePrivateAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DegenerateEquivalenceTest,
-    ::testing::Values(Params{100, 0.1, FilterPolicy::kFourFilters, 1},
-                      Params{100, 0.1, FilterPolicy::kOneFilter, 2},
-                      Params{100, 0.1, FilterPolicy::kTwoFilters, 3},
-                      Params{500, 0.05, FilterPolicy::kFourFilters, 4},
-                      Params{30, 0.4, FilterPolicy::kFourFilters, 5},
-                      Params{1000, 0.02, FilterPolicy::kTwoFilters, 6}));
+    ::testing::Values(
+        Params{100, 0.1, Widen(FilterPolicy::kFourFilters), 1},
+        Params{100, 0.1, Widen(FilterPolicy::kOneFilter), 2},
+        Params{100, 0.1, Widen(FilterPolicy::kTwoFilters), 3},
+        Params{500, 0.05, Widen(FilterPolicy::kFourFilters), 4},
+        Params{30, 0.4, Widen(FilterPolicy::kFourFilters), 5},
+        Params{1000, 0.02, Widen(FilterPolicy::kTwoFilters), 6}));
 
 }  // namespace
 }  // namespace casper::processor

@@ -16,13 +16,18 @@
 namespace casper::spatial {
 namespace {
 
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes wide.
 struct WorkloadParams {
   size_t initial;
-  int rounds;
-  int rebuild_threshold;
-  int fanout;
+  int64_t rounds;
+  int64_t rebuild_threshold;
+  int64_t fanout;
   uint64_t seed;
 };
+static_assert(sizeof(WorkloadParams) == 5 * 8,
+              "WorkloadParams must have no padding");
 
 class DifferentialSpatialTest
     : public ::testing::TestWithParam<WorkloadParams> {};
@@ -32,7 +37,7 @@ TEST_P(DifferentialSpatialTest, IndexesAgreeUnderChurn) {
   Rng rng(params.seed);
   const Rect space(0, 0, 1, 1);
 
-  EpochIndex index(params.fanout,
+  EpochIndex index(static_cast<int>(params.fanout),
                    static_cast<size_t>(params.rebuild_threshold));
   std::unordered_map<uint64_t, Point> live;
   uint64_t next_id = 0;

@@ -183,7 +183,7 @@ TEST(EpochIndexPersistSingleTest, TombstoneWithoutBaseEntryFails) {
 
   // Same "EPX1" layout as EpochIndex::Checkpoint writes.
   auto craft = [&](storage::PageId base, const std::vector<Entry>& dead) {
-    wire::Writer w;
+    wire::Writer w(4 + 4 + 8 + 8 + 8 + 8 + dead.size() * 40);
     w.U32(0x31585045u);
     w.I32(8);
     w.U64(128);

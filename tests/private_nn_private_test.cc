@@ -54,13 +54,22 @@ TEST(PrivateNNPrivateTest, ErrorPaths) {
 /// Inclusiveness (Theorem 3) sweep: whatever the true position of each
 /// target inside its region and of the user inside the cloak, the
 /// user's true nearest target must appear in the candidate list.
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes
+// wide; the policy is stored widened.
 struct Params {
   size_t targets;
   double region_extent;
   double cloak_size;
-  FilterPolicy policy;
+  int64_t policy;  ///< A FilterPolicy.
   uint64_t seed;
 };
+static_assert(sizeof(Params) == 5 * 8, "Params must have no padding");
+
+constexpr int64_t Widen(FilterPolicy policy) {
+  return static_cast<int64_t>(policy);
+}
 
 class RegionInclusivenessTest : public ::testing::TestWithParam<Params> {};
 
@@ -73,7 +82,7 @@ TEST_P(RegionInclusivenessTest, TrueNearestAlwaysReturned) {
   PrivateTargetStore store(targets);
 
   PrivateNNOptions options;
-  options.policy = params.policy;
+  options.policy = static_cast<FilterPolicy>(params.policy);
 
   for (int trial = 0; trial < 25; ++trial) {
     const double s = params.cloak_size;
@@ -111,14 +120,15 @@ TEST_P(RegionInclusivenessTest, TrueNearestAlwaysReturned) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RegionInclusivenessTest,
-    ::testing::Values(Params{50, 0.1, 0.2, FilterPolicy::kOneFilter, 1},
-                      Params{50, 0.1, 0.2, FilterPolicy::kTwoFilters, 1},
-                      Params{50, 0.1, 0.2, FilterPolicy::kFourFilters, 1},
-                      Params{200, 0.05, 0.1, FilterPolicy::kFourFilters, 2},
-                      Params{200, 0.3, 0.1, FilterPolicy::kFourFilters, 3},
-                      Params{20, 0.4, 0.5, FilterPolicy::kFourFilters, 4},
-                      Params{500, 0.02, 0.05, FilterPolicy::kTwoFilters, 5},
-                      Params{500, 0.02, 0.05, FilterPolicy::kOneFilter, 6}));
+    ::testing::Values(
+        Params{50, 0.1, 0.2, Widen(FilterPolicy::kOneFilter), 1},
+        Params{50, 0.1, 0.2, Widen(FilterPolicy::kTwoFilters), 1},
+        Params{50, 0.1, 0.2, Widen(FilterPolicy::kFourFilters), 1},
+        Params{200, 0.05, 0.1, Widen(FilterPolicy::kFourFilters), 2},
+        Params{200, 0.3, 0.1, Widen(FilterPolicy::kFourFilters), 3},
+        Params{20, 0.4, 0.5, Widen(FilterPolicy::kFourFilters), 4},
+        Params{500, 0.02, 0.05, Widen(FilterPolicy::kTwoFilters), 5},
+        Params{500, 0.02, 0.05, Widen(FilterPolicy::kOneFilter), 6}));
 
 TEST(PrivateNNPrivateTest, OverlapThresholdShrinksList) {
   Rng rng(11);

@@ -77,12 +77,22 @@ TEST(PrivateNNTest, RefineNearestPicksExact) {
 /// Inclusiveness (Theorem 1) sweep: for every filter policy, every
 /// cloak, and every possible user position inside the cloak, the true
 /// nearest target must be in the candidate list.
+// gtest names each instance after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialized and would
+// make the test names differ from run to run. Every field is 8 bytes
+// wide; the policy is stored widened.
 struct InclusionParams {
   size_t targets;
   double cloak_size;
-  FilterPolicy policy;
+  int64_t policy;  ///< A FilterPolicy.
   uint64_t seed;
 };
+static_assert(sizeof(InclusionParams) == 4 * 8,
+              "InclusionParams must have no padding");
+
+constexpr int64_t Widen(FilterPolicy policy) {
+  return static_cast<int64_t>(policy);
+}
 
 class InclusivenessTest : public ::testing::TestWithParam<InclusionParams> {};
 
@@ -97,7 +107,8 @@ TEST_P(InclusivenessTest, CandidateListContainsTrueNearest) {
     const double s = params.cloak_size;
     const Point c = rng.PointIn(Rect(0, 0, 1 - s, 1 - s));
     const Rect cloak(c.x, c.y, c.x + s, c.y + s);
-    auto result = PrivateNearestNeighbor(store, cloak, params.policy);
+    auto result = PrivateNearestNeighbor(
+        store, cloak, static_cast<FilterPolicy>(params.policy));
     ASSERT_TRUE(result.ok());
 
     std::vector<uint64_t> candidate_ids;
@@ -122,18 +133,18 @@ TEST_P(InclusivenessTest, CandidateListContainsTrueNearest) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, InclusivenessTest,
     ::testing::Values(
-        InclusionParams{50, 0.1, FilterPolicy::kOneFilter, 1},
-        InclusionParams{50, 0.1, FilterPolicy::kTwoFilters, 1},
-        InclusionParams{50, 0.1, FilterPolicy::kFourFilters, 1},
-        InclusionParams{500, 0.05, FilterPolicy::kOneFilter, 2},
-        InclusionParams{500, 0.05, FilterPolicy::kTwoFilters, 2},
-        InclusionParams{500, 0.05, FilterPolicy::kFourFilters, 2},
-        InclusionParams{2000, 0.2, FilterPolicy::kOneFilter, 3},
-        InclusionParams{2000, 0.2, FilterPolicy::kTwoFilters, 3},
-        InclusionParams{2000, 0.2, FilterPolicy::kFourFilters, 3},
-        InclusionParams{10, 0.5, FilterPolicy::kFourFilters, 4},
-        InclusionParams{3, 0.8, FilterPolicy::kFourFilters, 5},
-        InclusionParams{100, 0.01, FilterPolicy::kFourFilters, 6}));
+        InclusionParams{50, 0.1, Widen(FilterPolicy::kOneFilter), 1},
+        InclusionParams{50, 0.1, Widen(FilterPolicy::kTwoFilters), 1},
+        InclusionParams{50, 0.1, Widen(FilterPolicy::kFourFilters), 1},
+        InclusionParams{500, 0.05, Widen(FilterPolicy::kOneFilter), 2},
+        InclusionParams{500, 0.05, Widen(FilterPolicy::kTwoFilters), 2},
+        InclusionParams{500, 0.05, Widen(FilterPolicy::kFourFilters), 2},
+        InclusionParams{2000, 0.2, Widen(FilterPolicy::kOneFilter), 3},
+        InclusionParams{2000, 0.2, Widen(FilterPolicy::kTwoFilters), 3},
+        InclusionParams{2000, 0.2, Widen(FilterPolicy::kFourFilters), 3},
+        InclusionParams{10, 0.5, Widen(FilterPolicy::kFourFilters), 4},
+        InclusionParams{3, 0.8, Widen(FilterPolicy::kFourFilters), 5},
+        InclusionParams{100, 0.01, Widen(FilterPolicy::kFourFilters), 6}));
 
 /// More filters should never enlarge the extended area (each side's
 /// extension distance is computed from tighter upper bounds).
